@@ -11,7 +11,10 @@ candidate on the scalar path, distinct diagonals on the bulk path),
 ``gapped_traceback`` (pointer-matrix DPs actually run), and
 ``gapped_culled`` (triggered candidates resolved without a
 pointer-matrix DP: diagonal-memo hits, E-value-reject skips,
-``max_gapped_per_subject`` drops, zero-score results).  The point is
+``max_gapped_per_subject`` drops, zero-score results).  The bulk
+one-hit driver also counts ``groups_culled``: hit groups dropped before
+finalization because their best seed score can neither trigger a
+gapped DP nor pass the E-value cutoff.  The point is
 to stop guessing where the numpy passes go: kernel PRs read the stage
 split instead of re-deriving it with ad-hoc timers.
 

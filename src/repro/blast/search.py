@@ -884,6 +884,9 @@ def search_batch(queries: Sequence[np.ndarray], db: SequenceDB,
     shared — the parallel runtime ships one set of Karlin–Altschul
     parameters per job batch for the same reason.
 
+    The query side and the per-database step are separately available
+    as :func:`prepare_queries` and :func:`search_prepared`, so a caller
+    searching many fragments builds the query side once.
     ``engine="loop"`` falls back to sequential reference searches.
     """
     with profiled("search_batch", n_queries=len(queries)):
@@ -899,33 +902,95 @@ def _search_batch_impl(queries, db, scheme, params, query_ids, ka,
     engine = engine or DEFAULT_ENGINE
     if engine not in ("scan", "loop"):
         raise ValueError(f"engine must be 'scan' or 'loop', got {engine!r}")
-    n_q = len(queries)
-    if query_ids is None:
-        query_ids = ["query"] * n_q
-    if identity_queries is None:
-        identity_queries = [None] * n_q
-    if effective_spaces is None:
-        effective_spaces = [None] * n_q
-    if not (len(query_ids) == len(identity_queries)
-            == len(effective_spaces) == n_q):
-        raise ValueError("per-query argument sequences must match "
-                         "len(queries)")
     is_protein = db.seqtype == AA
-    if ka is None:
-        ka = resolve_ka(scheme, params, is_protein)
-
     if engine == "loop":
+        query_ids, identity_queries, effective_spaces = _per_query_args(
+            len(queries), query_ids, identity_queries, effective_spaces)
+        if ka is None:
+            ka = resolve_ka(scheme, params, is_protein)
         return [search(q, db, scheme, params, query_id=query_ids[qi],
                        ka=ka, both_strands=both_strands,
                        identity_query=identity_queries[qi], engine="loop",
                        scan_cache=scan_cache,
                        effective_space=effective_spaces[qi])
                 for qi, q in enumerate(queries)]
+    prepared = prepare_queries(queries, scheme, params,
+                               is_protein=is_protein, query_ids=query_ids,
+                               both_strands=both_strands,
+                               identity_queries=identity_queries,
+                               effective_spaces=effective_spaces)
+    return search_prepared(prepared, db, ka=ka, scan_cache=scan_cache)
 
-    n_total = db.total_residues
-    results = [SearchResults(query_id=query_ids[qi], query_len=len(q),
-                             db_residues=n_total, db_sequences=len(db))
-               for qi, q in enumerate(queries)]
+
+def _per_query_args(n_q, query_ids, identity_queries, effective_spaces):
+    """Per-query argument lists with :func:`search`'s defaults filled
+    in, checked against the number of queries."""
+    query_ids = list(query_ids) if query_ids is not None else ["query"] * n_q
+    identity_queries = (list(identity_queries)
+                        if identity_queries is not None else [None] * n_q)
+    effective_spaces = (list(effective_spaces)
+                        if effective_spaces is not None else [None] * n_q)
+    if not (len(query_ids) == len(identity_queries)
+            == len(effective_spaces) == n_q):
+        raise ValueError("per-query argument sequences must match "
+                         "len(queries)")
+    return query_ids, identity_queries, effective_spaces
+
+
+@dataclass
+class PreparedQueries:
+    """The query side of a batched search, built once by
+    :func:`prepare_queries` and reusable against any number of database
+    fragments of the matching sequence type.
+
+    Holds one entry per (query, orientation), in (query, +strand-first)
+    order — the order the sequential driver accumulates HSPs in, which
+    is what keeps the batched path byte-identical — together with the
+    entries' combined :class:`~repro.blast.scankernel.QueryBatch` and
+    the flat concatenation of the oriented queries (*qcat*, with
+    per-entry *qstarts* / *qlens*) that every extension and the bulk
+    gapped pass index into.  Queries shorter than the word size
+    contribute no entries (the sequential driver returns their empty
+    results before building an index); with no entries at all *batch*
+    and *qcat* are ``None``.
+    """
+
+    scheme: ScoringScheme
+    params: SearchParams
+    is_protein: bool
+    query_ids: List[str]
+    query_lens: List[int]
+    identity_queries: List[Optional[np.ndarray]]
+    effective_spaces: List[Optional[Tuple[int, int]]]
+    entries: List[Tuple[int, np.ndarray, int]]
+    batch: Optional[QueryBatch]
+    qcat: Optional[np.ndarray]
+    qstarts: Optional[np.ndarray]
+    qlens: Optional[np.ndarray]
+
+
+def prepare_queries(queries: Sequence[np.ndarray], scheme: ScoringScheme,
+                    params: Optional[SearchParams] = None, *,
+                    is_protein: bool,
+                    query_ids: Optional[Sequence[str]] = None,
+                    both_strands: bool = True,
+                    identity_queries: Optional[
+                        Sequence[Optional[np.ndarray]]] = None,
+                    effective_spaces: Optional[
+                        Sequence[Optional[Tuple[int, int]]]] = None
+                    ) -> PreparedQueries:
+    """Build the query side of :func:`search_batch`: word indexes
+    (masked per ``params.filter_low_complexity``), the combined
+    :class:`~repro.blast.scankernel.QueryBatch` and the flat query
+    concatenation.  None of it depends on the database, so a worker
+    serving a range of fragments builds it once and hands it to
+    :func:`search_prepared` for each fragment.
+
+    Per-query arguments take the same defaults as :func:`search_batch`.
+    """
+    params = params or SearchParams()
+    query_ids, identity_queries, effective_spaces = _per_query_args(
+        len(queries), query_ids, identity_queries, effective_spaces)
 
     def word_skip(oriented: np.ndarray):
         if not params.filter_low_complexity:
@@ -936,31 +1001,18 @@ def _search_batch_impl(queries, db, scheme, params, query_ids, ka,
         return skip
 
     prof = current_profile()
-    # One entry per (query, orientation), in (query, +strand-first)
-    # order — the order the sequential driver accumulates HSPs in,
-    # which is what keeps the batched path byte-identical.  Queries
-    # shorter than the word size contribute no entries (the sequential
-    # driver returns their empty results before building an index).
     t0 = time.perf_counter() if prof is not None else 0.0
     entries: List[Tuple[int, np.ndarray, int]] = []
     indexes: List[WordIndex] = []
-    spaces: List[Optional[Tuple[int, int]]] = [None] * n_q
     for qi, q in enumerate(queries):
         if len(q) < params.word_size:
             continue
-        if effective_spaces[qi] is not None:
-            spaces[qi] = tuple(effective_spaces[qi])
-        elif params.effective_lengths:
-            spaces[qi] = effective_search_space(ka, len(q), n_total, len(db))
-        else:
-            spaces[qi] = (len(q), n_total)
+        entries.append((qi, q, 1))
         if is_protein:
-            entries.append((qi, q, 1))
             indexes.append(WordIndex.for_protein(
                 q, scheme, params.word_size, params.neighbor_threshold,
                 skip=word_skip(q)))
         else:
-            entries.append((qi, q, 1))
             indexes.append(WordIndex.for_dna(q, params.word_size,
                                              skip=word_skip(q)))
             if both_strands:
@@ -968,12 +1020,68 @@ def _search_batch_impl(queries, db, scheme, params, query_ids, ka,
                 entries.append((qi, rc, -1))
                 indexes.append(WordIndex.for_dna(rc, params.word_size,
                                                  skip=word_skip(rc)))
-    if not entries:
-        return results
-    batch = QueryBatch(indexes)
+    batch = qcat = qstarts = qlens = None
+    if entries:
+        batch = QueryBatch(indexes)
+        qlens = np.array([len(e[1]) for e in entries], dtype=np.int64)
+        qstarts = np.zeros(len(entries), dtype=np.int64)
+        np.cumsum(qlens[:-1], out=qstarts[1:])
+        qcat = np.concatenate([e[1] for e in entries])
     if prof is not None:
         prof.add("index", time.perf_counter() - t0)
+    return PreparedQueries(
+        scheme=scheme, params=params, is_protein=is_protein,
+        query_ids=query_ids, query_lens=[len(q) for q in queries],
+        identity_queries=identity_queries,
+        effective_spaces=effective_spaces, entries=entries, batch=batch,
+        qcat=qcat, qstarts=qstarts, qlens=qlens)
 
+
+def search_prepared(prepared: PreparedQueries, db: SequenceDB, *,
+                    ka: Optional[KarlinAltschul] = None,
+                    scan_cache: Optional[ScanCache] = None
+                    ) -> List[SearchResults]:
+    """The per-database step of :func:`search_batch`: scan *db* with an
+    already-built :class:`PreparedQueries` and return one
+    :class:`SearchResults` per query, byte-identical to
+    ``search_batch`` over the same queries.
+    """
+    if prepared.is_protein != (db.seqtype == AA):
+        raise ValueError(f"queries were prepared for "
+                         f"{'aa' if prepared.is_protein else 'nt'}, "
+                         f"database is {db.seqtype!r}")
+    with profiled("search_batch", n_queries=len(prepared.query_ids)):
+        return _search_prepared_impl(prepared, db, ka, scan_cache)
+
+
+def _search_prepared_impl(prepared: PreparedQueries, db: SequenceDB,
+                          ka: Optional[KarlinAltschul],
+                          scan_cache: Optional[ScanCache]
+                          ) -> List[SearchResults]:
+    scheme, params = prepared.scheme, prepared.params
+    is_protein = prepared.is_protein
+    if ka is None:
+        ka = resolve_ka(scheme, params, is_protein)
+    n_total = db.total_residues
+    results = [SearchResults(query_id=qid, query_len=qlen,
+                             db_residues=n_total, db_sequences=len(db))
+               for qid, qlen in zip(prepared.query_ids, prepared.query_lens)]
+    entries = prepared.entries
+    if not entries:
+        return results
+    spaces: List[Optional[Tuple[int, int]]] = [None] * len(results)
+    for qi, _, _ in entries:
+        if spaces[qi] is not None:
+            continue
+        if prepared.effective_spaces[qi] is not None:
+            spaces[qi] = tuple(prepared.effective_spaces[qi])
+        elif params.effective_lengths:
+            spaces[qi] = effective_search_space(
+                ka, prepared.query_lens[qi], n_total, len(db))
+        else:
+            spaces[qi] = (prepared.query_lens[qi], n_total)
+
+    prof = current_profile()
     cache = scan_cache if scan_cache is not None else default_scan_cache()
     base = len(PROTEIN) if is_protein else len(DNA)
     t0 = time.perf_counter() if prof is not None else 0.0
@@ -985,18 +1093,12 @@ def _search_batch_impl(queries, db, scheme, params, query_ids, ka,
         prof.add("pack", time.perf_counter() - t0)
 
     t0 = time.perf_counter() if prof is not None else 0.0
-    groups = scan_fragment_batch(batch, structs)
+    groups = scan_fragment_batch(prepared.batch, structs)
     if prof is not None:
         prof.add("scan", time.perf_counter() - t0)
 
-    # Flat concatenation of every entry's oriented query, mirroring the
-    # fragment concatenation: one pair of flat arrays serves every
-    # (entry, subject) extension and the bulk gapped pass.
-    qlens = np.array([len(e[1]) for e in entries], dtype=np.int64)
-    qstarts = np.zeros(len(entries), dtype=np.int64)
-    np.cumsum(qlens[:-1], out=qstarts[1:])
-    qcat = np.concatenate([e[1] for e in entries])
-
+    identity_queries = prepared.identity_queries
+    qcat, qstarts = prepared.qcat, prepared.qstarts
     per_q: Dict[int, Dict[int, List[HSP]]] = {}
     jobs: List[_GappedJob] = []
     order: List[Tuple[int, int, List[HSP]]] = []
@@ -1021,9 +1123,8 @@ def _search_batch_impl(queries, db, scheme, params, query_ids, ka,
                 sink=sink))
             order.append((qi, sid, sink))
     elif groups:
-        _bulk_groups_to_jobs(groups, entries, structs, scheme, params,
-                             spaces, identity_queries, qcat, qstarts,
-                             qlens, jobs, order)
+        _bulk_groups_to_jobs(groups, prepared, structs, spaces, ka, jobs,
+                             order)
     _finalize_candidates(jobs, qcat, structs.concat, scheme, params,
                          is_protein, ka)
     for qi, sid, sink in order:
@@ -1045,18 +1146,19 @@ def _search_batch_impl(queries, db, scheme, params, query_ids, ka,
     return results
 
 
-def _bulk_groups_to_jobs(groups, entries, structs, scheme, params,
-                         spaces, identity_queries, qcat, qstarts, qlens,
-                         jobs, order) -> None:
+def _bulk_groups_to_jobs(groups, prepared: PreparedQueries, structs,
+                         spaces, ka: KarlinAltschul, jobs, order) -> None:
     """Steps 2-3 for every batched hit group at once (one-hit seeding).
 
     Instead of paying per-(query, subject) numpy dispatch for seeding
     and ungapped extension — which dominates once the shared scan pass
     is amortised over the batch — the whole hit stream is seeded with
     one grouped lexsort and extended with one flat 2-D gather against
-    the query/subject concatenations (*qcat* with per-entry *qstarts*
-    offsets and ``structs.concat``).  The per-diagonal coverage dedup
-    is then replayed per group from the bulk extents, and each group's
+    the query/subject concatenations (``prepared.qcat`` with per-entry
+    ``qstarts`` offsets and ``structs.concat``).  Groups that cannot
+    produce output are then dropped wholesale (see
+    :func:`_live_groups`); for the rest the per-diagonal coverage dedup
+    is replayed per group from the bulk extents, and each group's
     surviving candidates become one :class:`_GappedJob` appended to
     *jobs* — with a matching ``(query, subject id, sink)`` row in
     *order* — for the caller's :func:`_finalize_candidates` pass, so
@@ -1064,6 +1166,9 @@ def _bulk_groups_to_jobs(groups, entries, structs, scheme, params,
     would have produced for it.
     """
     prof = current_profile()
+    params = prepared.params
+    entries = prepared.entries
+    qstarts, qlens = prepared.qstarts, prepared.qlens
     g_eid = np.array([g[0] for g in groups], dtype=np.int64)
     g_sid = np.array([g[1] for g in groups], dtype=np.int64)
     gid_of_hit = np.repeat(
@@ -1082,24 +1187,27 @@ def _bulk_groups_to_jobs(groups, entries, structs, scheme, params,
     seid = g_eid[sgid]
     ssid = g_sid[sgid]
     ll, ls, rl, rs = bulk_ungapped_extend(
-        qcat, structs.concat,
+        prepared.qcat, structs.concat,
         qstarts[seid] + sqp, structs.starts[ssid] + ssp,
         np.minimum(sqp, ssp),
         np.minimum(qlens[seid] - sqp, structs.lengths[ssid] - ssp),
-        scheme, xdrop=params.xdrop_ungapped)
+        scheme=prepared.scheme, xdrop=params.xdrop_ungapped)
     if prof is not None:
         prof.add("extend", time.perf_counter() - t0)
 
     # sgid is group-major; per-group seed slices by binary search.
     bounds = np.searchsorted(sgid, np.arange(len(groups) + 1))
+    live = _live_groups(ls + rs, bounds, g_eid, entries, spaces, params, ka)
+    if prof is not None:
+        prof.count("groups_culled", len(groups) - len(live))
     sqp_l, ssp_l = sqp.tolist(), ssp.tolist()
     ll_l, ls_l = ll.tolist(), ls.tolist()
     rl_l, rs_l = rl.tolist(), rs.tolist()
+    identity_queries = prepared.identity_queries
     skipped = 0
-    for gi, (eid, sid, _, _) in enumerate(groups):
+    for gi in live:
+        eid, sid = groups[gi][0], groups[gi][1]
         lo, hi = int(bounds[gi]), int(bounds[gi + 1])
-        if lo == hi:
-            continue
         # Replay of the per-diagonal coverage dedup: a seed inside the
         # extent of the previously accepted extension on its diagonal
         # contributes nothing (identical to batched_ungapped_extend).
@@ -1131,3 +1239,54 @@ def _bulk_groups_to_jobs(groups, entries, structs, scheme, params,
         order.append((qi, sid, sink))
     if prof is not None and skipped:
         prof.count("seeds_skipped", skipped)
+
+
+def _live_groups(seed_scores: np.ndarray, bounds: np.ndarray,
+                 g_eid: np.ndarray, entries, spaces, params: SearchParams,
+                 ka: KarlinAltschul) -> List[int]:
+    """Indexes of the hit groups that can still produce an HSP.
+
+    *seed_scores* holds every seed's ungapped score, group-major, with
+    group ``g``'s seeds at ``bounds[g]:bounds[g + 1]``.  A group's
+    candidates are a subset of its seeds' extensions, so its best seed
+    score bounds every candidate score from above.  A group whose best
+    is below the gapped trigger (when gapped refinement is on) sends
+    no candidate to a gapped DP, so each candidate would be reported —
+    or not — on its own ungapped score.  If the best is also below
+    the smallest positive integer score whose E-value passes the
+    cutoff, no candidate can pass, and the whole group is dead.
+
+    That E-value floor is found per distinct ``(m_eff, n_eff)`` by
+    walking scores upward from 1 with the scalar ``ka.evalue`` and the
+    very comparison :func:`_candidates_to_hsps` makes, stopping at the
+    first passing score or past the best seed score of that space's
+    groups.  Every score below the floor was tested and failed, so the
+    cull is exact without relying on the rounding of the E-value
+    formula.
+    """
+    if len(seed_scores) == 0:
+        return []
+    lo = bounds[:-1]
+    has_seeds = lo < bounds[1:]
+    best = np.maximum.reduceat(seed_scores,
+                               np.minimum(lo, len(seed_scores) - 1))
+    best = np.where(has_seeds, best, 0)
+    maybe_dead = (best < params.gapped_trigger if params.gapped
+                  else np.ones(len(best), dtype=bool))
+    # Walk each space's floor no further than its best doomed group.
+    e_top = np.zeros(len(entries), dtype=np.int64)
+    np.maximum.at(e_top, g_eid[maybe_dead], best[maybe_dead])
+    tops: Dict[Tuple[int, int], int] = {}
+    for (qi, _, _), top in zip(entries, e_top.tolist()):
+        tops[spaces[qi]] = max(tops.get(spaces[qi], 0), top)
+    floors: Dict[Tuple[int, int], int] = {}
+    for (m_eff, n_eff), top in tops.items():
+        score = 1
+        while (score <= top
+               and ka.evalue(score, m_eff, n_eff) > params.evalue_cutoff):
+            score += 1
+        floors[(m_eff, n_eff)] = score
+    e_floor = np.array([floors[spaces[qi]] for qi, _, _ in entries],
+                       dtype=np.int64)
+    dead = maybe_dead & (best < e_floor[g_eid])
+    return np.flatnonzero(has_seeds & ~dead).tolist()

@@ -64,6 +64,8 @@ class SequenceDB:
         #: database identity (the scan-structure cache) can tell a
         #: mutated database from the one they packed.
         self._version = 0
+        #: ``(version, total)`` memo of :attr:`total_residues`.
+        self._residues_memo: Tuple[int, int] = (0, 0)
 
     # ------------------------------------------------------------------
     # Construction
@@ -106,7 +108,11 @@ class SequenceDB:
 
     @property
     def total_residues(self) -> int:
-        return sum(len(s) for s in self._seqs)
+        version, total = self._residues_memo
+        if version != self._version:
+            total = sum(len(s) for s in self._seqs)
+            self._residues_memo = (self._version, total)
+        return total
 
     def sequence(self, i: int) -> np.ndarray:
         return self._seqs[i]

@@ -228,9 +228,9 @@ def _worker_main(rank: int, conn, cfg: PoolConfig,
     the protocol is unit-testable in-process with a scripted pipe.
     A task is a *query batch* (a tuple of query indexes) crossed with a
     contiguous *range* of fragment packs (a tuple of pack names); the
-    worker scans every pack once for the whole batch — via
-    :func:`~repro.blast.search.search_batch` when the batch holds more
-    than one query — and ships the per-(pack, query) results back in
+    worker builds the batch's query side once and scans every pack
+    once for the whole batch (:func:`~repro.exec.nodes.execute_task`),
+    and ships the per-(pack, query) results back in
     one message — through its shared-memory result arena when
     the payload is large (descriptor over the pipe, CRC-checked),
     pickled inline when it is small.  Task messages carry the master's
@@ -423,8 +423,7 @@ class ExecPool:
         max queries per batched task (``REPRO_EXEC_QUERY_BATCH``,
         default 32): ``search_many`` groups its queries into batches
         of at most this size and each task scans its fragment range
-        once for the whole batch via
-        :func:`~repro.blast.search.search_batch`.  ``0`` (or ``1``)
+        once for the whole batch.  ``0`` (or ``1``)
         disables batching — one query per task, the pre-batch
         protocol.
     ``nodes`` / ``replication``
