@@ -2,7 +2,8 @@
 
 Not a paper figure — these keep the engine's performance visible and
 regression-checked: blastn scan throughput (the concatenated-fragment
-kernel), the kernel-vs-loop speedup ratio, ScanCache warm-over-cold
+kernel), its speedup over the per-subject loop of the
+:func:`repro.blast.reference.reference_search` oracle, ScanCache warm-over-cold
 behaviour, protein search, database formatting, and segmentation.
 """
 
@@ -15,6 +16,7 @@ import pytest
 
 from repro.blast import ScanCache, SequenceDB, blastn, blastp, segment_db
 from repro.blast.alphabet import encode_dna
+from repro.blast.reference import reference_search
 from repro.blast.score import NucleotideScore
 from repro.blast.search import SearchParams, search
 from repro.blast.seqdb import format_db
@@ -42,8 +44,8 @@ def test_blastn_scan_throughput(benchmark, nt_db):
     assert result.hits  # the planted query must be found
     mbps = nt_db.total_residues / benchmark.stats["mean"] / 1e6
     # Post-kernel regression floor: the concatenated-fragment kernel
-    # sustains ~34 MB/s on the dev box where the legacy per-sequence
-    # loop managed ~11; 12 MB/s fails a silent fall-back to the loop
+    # sustains ~34 MB/s on the dev box where the per-subject reference
+    # loop managed ~11; 12 MB/s fails a kernel slowed to loop speed
     # while leaving headroom for slower CI machines.  The machine-
     # independent guard is test_scan_kernel_speedup_over_loop below.
     assert mbps > 12.0
@@ -61,18 +63,18 @@ def _median_seconds(fn, rounds: int = 3) -> float:
 
 def test_scan_kernel_speedup_over_loop(nt_db):
     """Same machine, same corpus: the kernel must clearly beat the
-    legacy per-sequence loop (machine-portable, unlike absolute MB/s)."""
+    reference oracle's per-subject loop (machine-portable, unlike
+    absolute MB/s)."""
     query = encode_dna(extract_query(nt_db, length=568, seed=1))
     scheme = NucleotideScore()
     params = SearchParams()
     cache = ScanCache()
 
     def run_scan():
-        return search(query, nt_db, scheme, params, engine="scan",
-                      scan_cache=cache)
+        return search(query, nt_db, scheme, params, scan_cache=cache)
 
     def run_loop():
-        return search(query, nt_db, scheme, params, engine="loop")
+        return reference_search(query, nt_db, scheme, params)
 
     run_scan()  # populate the cache; measure warm kernel vs loop
     t_scan = _median_seconds(run_scan)
@@ -91,8 +93,7 @@ def test_scan_cache_warm_over_cold(nt_db):
         if clear_first:
             cache.clear()
         t0 = time.perf_counter()
-        search(query, nt_db, scheme, params, engine="scan",
-               scan_cache=cache)
+        search(query, nt_db, scheme, params, scan_cache=cache)
         return time.perf_counter() - t0
 
     run(clear_first=True)  # JIT/page warmup, discarded
@@ -122,8 +123,7 @@ def test_pool_scaling_four_workers(nt_db):
     cache = ScanCache()
 
     def run_serial():
-        return search(query, nt_db, scheme, params, engine="scan",
-                      scan_cache=cache)
+        return search(query, nt_db, scheme, params, scan_cache=cache)
 
     run_serial()  # warm the serial cache
     t_serial = _median_seconds(run_serial)
@@ -141,12 +141,10 @@ def test_pool_scaling_four_workers(nt_db):
 
 
 def test_gapped_bulk_stage_speedup(aa_db):
-    """The two-pass batched gapped stage must clearly beat the scalar
-    reference path on a gapped-heavy protein workload — byte-identical
-    results, stage time read from the profile buckets (same machine,
-    same run: machine-portable ratio)."""
-    from dataclasses import replace
-
+    """The two-pass batched gapped stage must clearly beat the
+    reference oracle's scalar gapped path on a gapped-heavy protein
+    workload — byte-identical results, stage time read from the
+    profile buckets (same machine, same run: machine-portable ratio)."""
     from repro.blast.profile import profiled
     from repro.blast.score import ProteinScore
 
@@ -155,27 +153,26 @@ def test_gapped_bulk_stage_speedup(aa_db):
     query = db.sequence(2)[:350].copy()
     query[::9] = (query[::9] + rng.integers(1, 20)) % 20
     scheme = ProteinScore()
-    p_bulk = SearchParams(word_size=3)
-    p_scalar = replace(p_bulk, gapped_bulk=False)
+    params = SearchParams(word_size=3)
 
-    def stage_seconds(params):
+    def stage_seconds(driver):
         best = None
         for _ in range(3):
             with profiled("bench", enabled=True, emit=False) as prof:
-                search(query, db, scheme, params, query_id="q")
+                driver(query, db, scheme, params, query_id="q")
             t = (prof.stages.get("gapped", 0.0)
                  + prof.stages.get("gapped_bulk", 0.0))
             best = t if best is None else min(best, t)
         return best
 
-    r_bulk = search(query, db, scheme, p_bulk, query_id="q")
-    r_scalar = search(query, db, scheme, p_scalar, query_id="q")
+    r_bulk = search(query, db, scheme, params, query_id="q")
+    r_scalar = reference_search(query, db, scheme, params, query_id="q")
     assert ([(h.subject_id, [dataclasses.astuple(p) for p in h.hsps])
              for h in r_bulk.hits] ==
             [(h.subject_id, [dataclasses.astuple(p) for p in h.hsps])
              for h in r_scalar.hits])
-    t_bulk = stage_seconds(p_bulk)
-    t_scalar = stage_seconds(p_scalar)
+    t_bulk = stage_seconds(search)
+    t_scalar = stage_seconds(reference_search)
     assert t_bulk > 0, "workload produced no gapped work to measure"
     assert t_scalar / t_bulk > 1.5
 

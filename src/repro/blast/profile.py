@@ -11,19 +11,19 @@ candidate on the scalar path, distinct diagonals on the bulk path),
 ``gapped_traceback`` (pointer-matrix DPs actually run), and
 ``gapped_culled`` (triggered candidates resolved without a
 pointer-matrix DP: diagonal-memo hits, E-value-reject skips,
-``max_gapped_per_subject`` drops, zero-score results).  The bulk
-one-hit driver also counts ``groups_culled``: hit groups dropped before
-finalization because their best seed score can neither trigger a
-gapped DP nor pass the E-value cutoff.  The point is
-to stop guessing where the numpy passes go: kernel PRs read the stage
-split instead of re-deriving it with ad-hoc timers.
+zero-score results).  The bulk one-hit driver also counts
+``groups_culled``: hit groups dropped before finalization because
+their best seed score can neither trigger a gapped DP nor pass the
+E-value cutoff.  The point is to stop guessing where the numpy passes
+go: kernel PRs read the stage split instead of re-deriving it with
+ad-hoc timers.
 
 The hook is designed to cost nothing when off: the drivers consult
 :func:`current_profile` (a module-global read) and skip every timer
 when it returns ``None``.  Only the *outermost* search activates a
-profile — nested calls (e.g. the loop-engine fallback inside a batched
-driver) accumulate into the active one rather than emitting their own
-lines.
+profile — nested calls (e.g. :func:`~repro.blast.search.search_prepared`
+inside ``search_batch``) accumulate into the active one rather than
+emitting their own lines.
 """
 
 from __future__ import annotations

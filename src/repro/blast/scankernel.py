@@ -404,8 +404,9 @@ class ScanCache:
         """Seed the cache with externally built structures for *db*.
 
         The process pool uses this to prime a worker's cache with
-        shared-memory-backed packs so ``search(engine="scan")`` attaches
-        zero-copy instead of repacking.  Same LRU accounting as a miss.
+        shared-memory-backed packs so :func:`~repro.blast.search.search`
+        attaches zero-copy instead of repacking.  Same LRU accounting as
+        a miss.
         """
         key = (self._db_key(db), k, base)
         self._entries[key] = structs

@@ -8,15 +8,15 @@ Pipeline (Altschul et al. 1990/1997):
 4. banded gapped extension of HSPs above the gapped trigger score;
 5. Karlin–Altschul E-values; keep hits under the E-value cutoff.
 
-Two engines drive step 1.  The default ``"scan"`` engine packs the
-whole database fragment into one sentinel-separated concatenation
-(:mod:`repro.blast.scankernel`), computes rolling word codes once per
-fragment (cached across queries in the :class:`~repro.blast.scankernel.
-ScanCache`), scans the query index against everything in one shot, and
-only then drops to per-sequence work for the handful of subjects with
-word hits.  The legacy ``"loop"`` engine scans one subject at a time;
-it is retained as the reference implementation — both engines produce
-identical :class:`SearchResults`.
+Step 1 packs the whole database fragment into one sentinel-separated
+concatenation (:mod:`repro.blast.scankernel`), computes rolling word
+codes once per fragment (cached across queries in the
+:class:`~repro.blast.scankernel.ScanCache`), scans the query index
+against everything in one shot, and only then drops to per-sequence
+work for the handful of subjects with word hits.  The original
+one-subject-at-a-time scan survives only as a test and benchmark
+oracle, :func:`repro.blast.reference.reference_search`, which no
+runtime module imports.
 
 Results merge across database fragments by alignment score, which is
 exactly what the mpiBLAST master does with worker results.
@@ -24,7 +24,6 @@ exactly what the mpiBLAST master does with worker results.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -33,25 +32,20 @@ import numpy as np
 
 from repro.blast.alphabet import DNA, PROTEIN, reverse_complement
 from repro.blast.extend import (UngappedHSP, batched_ungapped_extend,
-                                bulk_ungapped_extend, ungapped_extend)
+                                bulk_ungapped_extend)
 from repro.blast.gapped import (GappedAlignment, banded_local_align,
                                 bulk_banded_score)
 from repro.blast.xdrop import xdrop_gapped_extend
-from repro.blast.kmer import WordIndex, dna_word_codes, protein_word_codes
+from repro.blast.kmer import WordIndex
 from repro.blast.profile import current_profile, profiled
 from repro.blast.scankernel import (QueryBatch, ScanCache, default_scan_cache,
                                     scan_fragment, scan_fragment_batch)
-from repro.blast.score import NucleotideScore, ProteinScore, ScoringScheme
+from repro.blast.score import ScoringScheme
 from repro.blast.seed import (one_hit_seeds, one_hit_seeds_grouped,
                               two_hit_seeds)
-from repro.blast.seqdb import AA, NT, SequenceDB
+from repro.blast.seqdb import AA, SequenceDB
 from repro.blast.stats import (KarlinAltschul, effective_search_space,
                                karlin_altschul_params)
-
-#: Engine used when ``search(..., engine=None)``: the vectorized
-#: concatenated-fragment kernel.  ``"loop"`` selects the legacy
-#: per-sequence scan (the reference implementation).
-DEFAULT_ENGINE = "scan"
 
 
 @dataclass(frozen=True)
@@ -85,15 +79,6 @@ class SearchParams:
     #: "xdrop" (NCBI's adaptive-region extension; finds indels larger
     #: than the band at somewhat higher cost).
     gapped_method: str = "banded"
-    #: Run banded gapped refinement as the two-pass batched pipeline
-    #: (score-only bulk forward pass, pointer-matrix traceback only for
-    #: survivors).  Output is byte-identical to the scalar path; this
-    #: and ``REPRO_GAPPED_BULK=0`` exist as an exact fallback switch.
-    gapped_bulk: bool = True
-    #: At most this many gapped DP problems per (orientation, subject)
-    #: group; further triggered candidates are dropped.  0 (default)
-    #: disables the cap — with it off, output never changes.
-    max_gapped_per_subject: int = 0
 
 
 @dataclass
@@ -162,7 +147,10 @@ class SearchResults:
 
     def merge(self, other: "SearchResults") -> "SearchResults":
         """Combine results from another fragment of the same database —
-        the master's merge step in parallel BLAST."""
+        the master's merge step in parallel BLAST.
+
+        Neither input is modified: the merged hits hold rescaled copies.
+        """
         if other.query_id != self.query_id:
             raise ValueError("cannot merge results for different queries")
         merged = SearchResults(
@@ -170,16 +158,16 @@ class SearchResults:
             query_len=self.query_len,
             db_residues=self.db_residues + other.db_residues,
             db_sequences=self.db_sequences + other.db_sequences,
-            hits=self.hits + other.hits,
         )
         # E-values were computed against fragment sizes; rescale to the
         # combined database size (E scales linearly in n).
-        for hit in merged.hits:
-            src = self if hit in self.hits else other
-            if src.db_residues > 0:
-                factor = merged.db_residues / src.db_residues
-                for h in hit.hsps:
-                    h.evalue *= factor
+        for src in (self, other):
+            factor = (merged.db_residues / src.db_residues
+                      if src.db_residues > 0 else 1.0)
+            merged.hits.extend(
+                replace(hit, hsps=[replace(h, evalue=h.evalue * factor)
+                                   for h in hit.hsps])
+                for hit in src.hits)
         merged.sort()
         return merged
 
@@ -296,40 +284,51 @@ def resolve_ka(scheme: ScoringScheme, params: SearchParams,
     return karlin_altschul_params(scheme.matrix, gapped_key=key)
 
 
-def _hsps_for_strand(query: np.ndarray, subject: np.ndarray,
-                     index: WordIndex, scheme: ScoringScheme,
-                     params: SearchParams, is_protein: bool,
-                     ka: KarlinAltschul, m_eff: int, n_eff: int,
-                     strand: int,
-                     identity_query: Optional[np.ndarray] = None
-                     ) -> List[HSP]:
-    """Steps 1-4 for one query orientation against one subject (the
-    legacy per-sequence scan)."""
+def _word_skip(oriented: np.ndarray, params: SearchParams,
+               is_protein: bool) -> Optional[np.ndarray]:
+    """Word starts to leave out of the query index: the low-complexity
+    mask (DUST / SEG) when ``params.filter_low_complexity`` is on."""
+    if not params.filter_low_complexity:
+        return None
+    from repro.blast.filter import apply_query_filter
+
+    _, skip = apply_query_filter(oriented, is_protein, params.word_size)
+    return skip
+
+
+def _query_orientations(query: np.ndarray, scheme: ScoringScheme,
+                        params: SearchParams, is_protein: bool,
+                        both_strands: bool
+                        ) -> List[Tuple[np.ndarray, WordIndex, int]]:
+    """``(oriented query, word index, strand)`` for every orientation
+    one query is searched in: the query itself and, for nucleotide
+    searches with *both_strands*, its reverse complement."""
     if is_protein:
-        codes = protein_word_codes(subject, params.word_size)
-    else:
-        codes = dna_word_codes(subject, params.word_size)
-    spos, qpos = index.scan(codes)
-    if len(spos) == 0:
-        return []
-    return _hsps_from_hits(query, subject, spos, qpos, scheme, params,
-                           is_protein, ka, m_eff, n_eff, strand,
-                           identity_query=identity_query)
+        index = WordIndex.for_protein(query, scheme, params.word_size,
+                                      params.neighbor_threshold,
+                                      skip=_word_skip(query, params, True))
+        return [(query, index, 1)]
+    orientations = [(query, WordIndex.for_dna(
+        query, params.word_size, skip=_word_skip(query, params, False)), 1)]
+    if both_strands:
+        rc = reverse_complement(query)
+        orientations.append((rc, WordIndex.for_dna(
+            rc, params.word_size, skip=_word_skip(rc, params, False)), -1))
+    return orientations
 
 
-def _hsps_from_hits(query: np.ndarray, subject: np.ndarray,
-                    spos: np.ndarray, qpos: np.ndarray,
-                    scheme: ScoringScheme, params: SearchParams,
-                    is_protein: bool, ka: KarlinAltschul,
-                    m_eff: int, n_eff: int, strand: int,
-                    identity_query: Optional[np.ndarray] = None
-                    ) -> List[HSP]:
-    """Steps 2-4 from word hits for one orientation/subject pair."""
-    candidates = _collect_candidates(query, subject, spos, qpos, scheme,
-                                     params, is_protein)
-    return _candidates_to_hsps(query, subject, candidates, scheme, params,
-                               is_protein, ka, m_eff, n_eff, strand,
-                               identity_query=identity_query)
+def _search_space(ka: KarlinAltschul, params: SearchParams, m: int,
+                  n_total: int, n_seqs: int,
+                  effective_space: Optional[Tuple[int, int]]
+                  ) -> Tuple[int, int]:
+    """The ``(m_eff, n_eff)`` E-values are computed against: an
+    explicit *effective_space*, else the length-adjusted space when
+    ``params.effective_lengths``, else the raw lengths."""
+    if effective_space is not None:
+        return tuple(effective_space)
+    if params.effective_lengths:
+        return effective_search_space(ka, m, n_total, n_seqs)
+    return m, n_total
 
 
 def _collect_candidates(query: np.ndarray, subject: np.ndarray,
@@ -369,7 +368,7 @@ def _candidates_to_hsps(query: np.ndarray, subject: np.ndarray,
                         ) -> List[HSP]:
     """Steps 4-5 (gapped refinement, dedup, E-value filter) from
     ungapped candidates for one orientation/subject pair — the scalar
-    reference path (one DP with traceback per triggered candidate)."""
+    path (one DP with traceback per triggered candidate)."""
     if not candidates:
         return []
     id_query = query if identity_query is None else identity_query
@@ -379,15 +378,8 @@ def _candidates_to_hsps(query: np.ndarray, subject: np.ndarray,
 
     out: List[HSP] = []
     seen_spans: List[Tuple[int, int]] = []
-    n_gapped = 0
     for cand in candidates:
         if params.gapped and cand.score >= params.gapped_trigger:
-            if (params.max_gapped_per_subject > 0
-                    and n_gapped >= params.max_gapped_per_subject):
-                if prof is not None:
-                    prof.count("gapped_culled")
-                continue
-            n_gapped += 1
             mid_q = cand.q_start + cand.length // 2
             mid_s = cand.s_start + cand.length // 2
             t0 = time.perf_counter() if prof is not None else 0.0
@@ -433,23 +425,13 @@ def _candidates_to_hsps(query: np.ndarray, subject: np.ndarray,
     return out
 
 
-#: Environment kill-switch for the batched gapped pipeline: ``0``
-#: forces the scalar reference path regardless of ``SearchParams``.
-GAPPED_BULK_ENV = "REPRO_GAPPED_BULK"
-
 #: Below this many triggered candidates the scalar path wins — the
 #: batched forward pass re-scores everything and then still pays the
 #: survivor tracebacks, which only pays off once there is enough to
 #: cull (measured crossover is well under this on the dev box; the
-#: routing is invisible in output, both paths are exact).
+#: routing is invisible in output, both paths are exact).  This is the
+#: only selector between the two gapped paths.
 _BULK_MIN_CANDIDATES = 24
-
-
-def _gapped_bulk_enabled(params: SearchParams) -> bool:
-    """Whether the two-pass batched gapped pipeline should run."""
-    if not params.gapped_bulk:
-        return False
-    return (os.environ.get(GAPPED_BULK_ENV) or "").strip() != "0"
 
 
 @dataclass
@@ -490,7 +472,7 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
     through the diagonal.  **Pass 2** replays each group's scalar
     decision sequence from the pass-1 scores and runs the
     pointer-matrix traceback only for candidates that still need one:
-    zero-score and over-cap candidates are dropped outright, and an
+    zero-score candidates are dropped outright, and an
     E-value-rejected candidate skips traceback when its subject end
     position (known exactly from pass 1) is unique among the group's
     prospective spans — the only way its never-rendered span could
@@ -498,8 +480,9 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
     sharing that end.  Output is byte-identical to running
     :func:`_candidates_to_hsps` per group.
 
-    The scalar reference path serves ungapped searches, the xdrop
-    method, and ``gapped_bulk`` opt-outs.
+    The scalar path serves ungapped searches, the xdrop method, and
+    workloads with fewer than ``_BULK_MIN_CANDIDATES`` triggered
+    candidates.
     """
     if not jobs:
         return
@@ -510,8 +493,7 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
     n_triggered = sum(1 for job in jobs for c in job.candidates
                       if c.score >= params.gapped_trigger)
     if (not params.gapped or params.gapped_method != "banded"
-            or n_triggered < _BULK_MIN_CANDIDATES
-            or not _gapped_bulk_enabled(params)):
+            or n_triggered < _BULK_MIN_CANDIDATES):
         for job in jobs:
             job.sink.extend(_candidates_to_hsps(
                 job.query, job.subject, job.candidates, scheme, params,
@@ -520,14 +502,13 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
         return
 
     prof = current_profile()
-    cap = params.max_gapped_per_subject
     # Scalar preamble, replayed exactly: best-first order, max_hsps.
     for job in jobs:
         job.candidates.sort(key=lambda h: -h.score)
         del job.candidates[params.max_hsps:]
 
     # Pass 1: collect one score-only DP problem per distinct
-    # (group, diagonal) among the triggered, under-cap candidates.
+    # (group, diagonal) among the triggered candidates.
     diags_of: List[Dict[int, int]] = []
     e_qoff: List[int] = []
     e_qlen: List[int] = []
@@ -536,13 +517,9 @@ def _finalize_candidates(jobs: List[_GappedJob], qcat: np.ndarray,
     e_diag: List[int] = []
     for job in jobs:
         diags: Dict[int, int] = {}
-        n_gapped = 0
         for cand in job.candidates:
             if cand.score < params.gapped_trigger:
                 continue
-            if cap > 0 and n_gapped >= cap:
-                continue
-            n_gapped += 1
             dg = cand.diag
             if dg not in diags:
                 diags[dg] = len(e_diag)
@@ -580,8 +557,6 @@ def _finalize_one(job: _GappedJob, diags: Dict[int, int],
     """Pass 2 of the batched gapped pipeline for one group: replay the
     scalar candidate loop from the bulk scores, tracing back only when
     an alignment's exact extent can still matter."""
-    cap = params.max_gapped_per_subject
-
     # Census of the *emittable* candidates' subject end positions.  A
     # span is appended to the dedup list before the E-value check, so
     # a rejected candidate's span can influence output only by
@@ -592,12 +567,8 @@ def _finalize_one(job: _GappedJob, diags: Dict[int, int],
     # ends up in the list and none of them is emitted.)  E-values here
     # depend only on scores, all known exactly after pass 1.
     end_count: Dict[int, int] = {}
-    n_gapped = 0
     for cand in job.candidates:
         if cand.score >= params.gapped_trigger:
-            if cap > 0 and n_gapped >= cap:
-                continue
-            n_gapped += 1
             ei = diags[cand.diag]
             score = int(scores[ei])
             if score <= 0:
@@ -612,14 +583,8 @@ def _finalize_one(job: _GappedJob, diags: Dict[int, int],
     out = job.sink
     seen_spans: List[Tuple[int, int]] = []
     memo: Dict[int, GappedAlignment] = {}
-    n_gapped = 0
     for cand in job.candidates:
         if cand.score >= params.gapped_trigger:
-            if cap > 0 and n_gapped >= cap:
-                if prof is not None:
-                    prof.count("gapped_culled")
-                continue
-            n_gapped += 1
             ei = diags[cand.diag]
             score = int(scores[ei])
             if score <= 0:
@@ -686,7 +651,6 @@ def search(query: np.ndarray, db: SequenceDB, scheme: ScoringScheme,
            ka: Optional[KarlinAltschul] = None,
            both_strands: bool = True,
            identity_query: Optional[np.ndarray] = None,
-           engine: Optional[str] = None,
            scan_cache: Optional[ScanCache] = None,
            effective_space: Optional[Tuple[int, int]] = None) -> SearchResults:
     """Search an encoded *query* against every sequence of *db*.
@@ -694,11 +658,9 @@ def search(query: np.ndarray, db: SequenceDB, scheme: ScoringScheme,
     For nucleotide databases the reverse-complement strand of the query
     is searched too (``both_strands``).
 
-    *engine* selects the scan driver: ``"scan"`` (default) uses the
-    vectorized concatenated-fragment kernel with cached scan structures
-    (*scan_cache*, defaulting to the process-wide
-    :func:`~repro.blast.scankernel.default_scan_cache`); ``"loop"`` is
-    the legacy per-sequence scan.  Both produce identical results.
+    The fragment's scan structures come from the database itself when
+    it is pack-backed, else from *scan_cache* (defaulting to the
+    process-wide :func:`~repro.blast.scankernel.default_scan_cache`).
 
     *effective_space* overrides the ``(m_eff, n_eff)`` search space the
     E-values are computed against.  The parallel runtime passes the
@@ -712,8 +674,8 @@ def search(query: np.ndarray, db: SequenceDB, scheme: ScoringScheme,
     """
     with profiled("search", query_id=query_id, query_len=len(query)):
         return _search_impl(query, db, scheme, params, query_id, ka,
-                            both_strands, identity_query, engine,
-                            scan_cache, effective_space)
+                            both_strands, identity_query, scan_cache,
+                            effective_space)
 
 
 def _search_impl(query: np.ndarray, db: SequenceDB, scheme: ScoringScheme,
@@ -722,13 +684,9 @@ def _search_impl(query: np.ndarray, db: SequenceDB, scheme: ScoringScheme,
                  ka: Optional[KarlinAltschul],
                  both_strands: bool,
                  identity_query: Optional[np.ndarray],
-                 engine: Optional[str],
                  scan_cache: Optional[ScanCache],
                  effective_space: Optional[Tuple[int, int]]) -> SearchResults:
     params = params or SearchParams()
-    engine = engine or DEFAULT_ENGINE
-    if engine not in ("scan", "loop"):
-        raise ValueError(f"engine must be 'scan' or 'loop', got {engine!r}")
     is_protein = db.seqtype == AA
     if ka is None:
         ka = resolve_ka(scheme, params, is_protein)
@@ -739,120 +697,76 @@ def _search_impl(query: np.ndarray, db: SequenceDB, scheme: ScoringScheme,
                             db_residues=n_total, db_sequences=len(db))
     if m < params.word_size:
         return results
-    if effective_space is not None:
-        m_eff, n_eff = effective_space
-    elif params.effective_lengths:
-        m_eff, n_eff = effective_search_space(ka, m, n_total, len(db))
-    else:
-        m_eff, n_eff = m, n_total
-
-    def word_skip(oriented: np.ndarray):
-        if not params.filter_low_complexity:
-            return None
-        from repro.blast.filter import apply_query_filter
-
-        _, skip = apply_query_filter(oriented, is_protein, params.word_size)
-        return skip
-
+    m_eff, n_eff = _search_space(ka, params, m, n_total, len(db),
+                                 effective_space)
     prof = current_profile()
     t0 = time.perf_counter() if prof is not None else 0.0
-    if is_protein:
-        index = WordIndex.for_protein(query, scheme, params.word_size,
-                                      params.neighbor_threshold,
-                                      skip=word_skip(query))
-        orientations = [(query, index, 1)]
-    else:
-        index = WordIndex.for_dna(query, params.word_size,
-                                  skip=word_skip(query))
-        orientations = [(query, index, 1)]
-        if both_strands:
-            rc = reverse_complement(query)
-            orientations.append(
-                (rc, WordIndex.for_dna(rc, params.word_size,
-                                       skip=word_skip(rc)), -1))
+    orientations = _query_orientations(query, scheme, params, is_protein,
+                                       both_strands)
     if prof is not None:
         prof.add("index", time.perf_counter() - t0)
 
-    if engine == "scan":
-        # Vectorized kernel: one scan over the packed fragment, then
-        # per-sequence work only for subjects with word hits.
-        # Explicit None check: an *empty* ScanCache is falsy (__len__).
-        cache = scan_cache if scan_cache is not None else default_scan_cache()
-        base = len(PROTEIN) if is_protein else len(DNA)
-        # A pack-backed db (shm segment or mmapped disk pack) already
-        # *is* the scan structure — take it directly; the cache only
-        # serves databases that must be (re)built.
+    # One scan over the packed fragment, then per-sequence work only
+    # for subjects with word hits.
+    # Explicit None check: an *empty* ScanCache is falsy (__len__).
+    cache = scan_cache if scan_cache is not None else default_scan_cache()
+    base = len(PROTEIN) if is_protein else len(DNA)
+    # A pack-backed db (shm segment or mmapped disk pack) already *is*
+    # the scan structure — take it directly; the cache only serves
+    # databases that must be (re)built.
+    t0 = time.perf_counter() if prof is not None else 0.0
+    provider = getattr(db, "scan_structures", None)
+    structs = provider(params.word_size, base) if provider else None
+    if structs is None:
+        structs = cache.get(db, params.word_size, base)
+    if prof is not None:
+        prof.add("pack", time.perf_counter() - t0)
+    per_sid: Dict[int, List[HSP]] = {}
+    jobs: List[_GappedJob] = []
+    collected: List[Tuple[int, List[HSP]]] = []
+    q_offs: List[int] = []
+    off = 0
+    for oriented_query, _, _ in orientations:
+        q_offs.append(off)
+        off += len(oriented_query)
+    for oi, (oriented_query, oriented_index, strand) in \
+            enumerate(orientations):
         t0 = time.perf_counter() if prof is not None else 0.0
-        provider = getattr(db, "scan_structures", None)
-        structs = provider(params.word_size, base) if provider else None
-        if structs is None:
-            structs = cache.get(db, params.word_size, base)
+        groups = scan_fragment(oriented_index, structs)
         if prof is not None:
-            prof.add("pack", time.perf_counter() - t0)
-        per_sid: Dict[int, List[HSP]] = {}
-        jobs: List[_GappedJob] = []
-        collected: List[Tuple[int, List[HSP]]] = []
-        q_offs: List[int] = []
-        off = 0
-        for oriented_query, _, _ in orientations:
-            q_offs.append(off)
-            off += len(oriented_query)
-        for oi, (oriented_query, oriented_index, strand) in \
-                enumerate(orientations):
-            t0 = time.perf_counter() if prof is not None else 0.0
-            groups = scan_fragment(oriented_index, structs)
-            if prof is not None:
-                prof.add("scan", time.perf_counter() - t0)
-            for sid, spos, qpos in groups:
-                cands = _collect_candidates(
-                    oriented_query, structs.subject(sid), spos, qpos,
-                    scheme, params, is_protein)
-                if not cands:
-                    continue
-                sink: List[HSP] = []
-                jobs.append(_GappedJob(
-                    query=oriented_query, subject=structs.subject(sid),
-                    q_off=q_offs[oi], s_off=int(structs.starts[sid]),
-                    candidates=cands, m_eff=m_eff, n_eff=n_eff,
-                    strand=strand, identity_query=identity_query,
-                    sink=sink))
-                collected.append((sid, sink))
-        if jobs:
-            qcat = (orientations[0][0] if len(orientations) == 1
-                    else np.concatenate([o[0] for o in orientations]))
-            _finalize_candidates(jobs, qcat, structs.concat, scheme,
-                                 params, is_protein, ka)
-        for sid, sink in collected:
-            if sink:
-                per_sid.setdefault(sid, []).extend(sink)
-        for sid in sorted(per_sid):
-            hsps = per_sid[sid]
-            hsps.sort(key=lambda h: (h.evalue, -h.score))
-            results.hits.append(Hit(
-                subject_id=sid,
-                description=db.description(sid),
-                subject_len=int(structs.lengths[sid]),
-                hsps=hsps[:params.max_hsps],
-                fragment_id=db.fragment_id,
-            ))
-    else:
-        for sid in range(len(db)):
-            subject = db.sequence(sid)
-            hsps = []
-            for oriented_query, oriented_index, strand in orientations:
-                hsps.extend(_hsps_for_strand(
-                    oriented_query, subject, oriented_index, scheme, params,
-                    is_protein, ka, m_eff, n_eff, strand,
-                    identity_query=identity_query))
-            if hsps:
-                hsps.sort(key=lambda h: (h.evalue, -h.score))
-                results.hits.append(Hit(
-                    subject_id=sid,
-                    description=db.description(sid),
-                    subject_len=len(subject),
-                    hsps=hsps[:params.max_hsps],
-                    fragment_id=db.fragment_id,
-                ))
+            prof.add("scan", time.perf_counter() - t0)
+        for sid, spos, qpos in groups:
+            cands = _collect_candidates(
+                oriented_query, structs.subject(sid), spos, qpos,
+                scheme, params, is_protein)
+            if not cands:
+                continue
+            sink: List[HSP] = []
+            jobs.append(_GappedJob(
+                query=oriented_query, subject=structs.subject(sid),
+                q_off=q_offs[oi], s_off=int(structs.starts[sid]),
+                candidates=cands, m_eff=m_eff, n_eff=n_eff,
+                strand=strand, identity_query=identity_query,
+                sink=sink))
+            collected.append((sid, sink))
+    if jobs:
+        qcat = (orientations[0][0] if len(orientations) == 1
+                else np.concatenate([o[0] for o in orientations]))
+        _finalize_candidates(jobs, qcat, structs.concat, scheme,
+                             params, is_protein, ka)
+    for sid, sink in collected:
+        if sink:
+            per_sid.setdefault(sid, []).extend(sink)
+    for sid in sorted(per_sid):
+        hsps = per_sid[sid]
+        hsps.sort(key=lambda h: (h.evalue, -h.score))
+        results.hits.append(Hit(
+            subject_id=sid,
+            description=db.description(sid),
+            subject_len=int(structs.lengths[sid]),
+            hsps=hsps[:params.max_hsps],
+            fragment_id=db.fragment_id,
+        ))
     results.sort()
     return results
 
@@ -864,7 +778,6 @@ def search_batch(queries: Sequence[np.ndarray], db: SequenceDB,
                  ka: Optional[KarlinAltschul] = None,
                  both_strands: bool = True,
                  identity_queries: Optional[Sequence[Optional[np.ndarray]]] = None,
-                 engine: Optional[str] = None,
                  scan_cache: Optional[ScanCache] = None,
                  effective_spaces: Optional[Sequence[Optional[Tuple[int, int]]]]
                  = None) -> List[SearchResults]:
@@ -887,54 +800,15 @@ def search_batch(queries: Sequence[np.ndarray], db: SequenceDB,
     The query side and the per-database step are separately available
     as :func:`prepare_queries` and :func:`search_prepared`, so a caller
     searching many fragments builds the query side once.
-    ``engine="loop"`` falls back to sequential reference searches.
     """
     with profiled("search_batch", n_queries=len(queries)):
-        return _search_batch_impl(queries, db, scheme, params, query_ids,
-                                  ka, both_strands, identity_queries,
-                                  engine, scan_cache, effective_spaces)
-
-
-def _search_batch_impl(queries, db, scheme, params, query_ids, ka,
-                       both_strands, identity_queries, engine, scan_cache,
-                       effective_spaces) -> List[SearchResults]:
-    params = params or SearchParams()
-    engine = engine or DEFAULT_ENGINE
-    if engine not in ("scan", "loop"):
-        raise ValueError(f"engine must be 'scan' or 'loop', got {engine!r}")
-    is_protein = db.seqtype == AA
-    if engine == "loop":
-        query_ids, identity_queries, effective_spaces = _per_query_args(
-            len(queries), query_ids, identity_queries, effective_spaces)
-        if ka is None:
-            ka = resolve_ka(scheme, params, is_protein)
-        return [search(q, db, scheme, params, query_id=query_ids[qi],
-                       ka=ka, both_strands=both_strands,
-                       identity_query=identity_queries[qi], engine="loop",
-                       scan_cache=scan_cache,
-                       effective_space=effective_spaces[qi])
-                for qi, q in enumerate(queries)]
-    prepared = prepare_queries(queries, scheme, params,
-                               is_protein=is_protein, query_ids=query_ids,
-                               both_strands=both_strands,
-                               identity_queries=identity_queries,
-                               effective_spaces=effective_spaces)
-    return search_prepared(prepared, db, ka=ka, scan_cache=scan_cache)
-
-
-def _per_query_args(n_q, query_ids, identity_queries, effective_spaces):
-    """Per-query argument lists with :func:`search`'s defaults filled
-    in, checked against the number of queries."""
-    query_ids = list(query_ids) if query_ids is not None else ["query"] * n_q
-    identity_queries = (list(identity_queries)
-                        if identity_queries is not None else [None] * n_q)
-    effective_spaces = (list(effective_spaces)
-                        if effective_spaces is not None else [None] * n_q)
-    if not (len(query_ids) == len(identity_queries)
-            == len(effective_spaces) == n_q):
-        raise ValueError("per-query argument sequences must match "
-                         "len(queries)")
-    return query_ids, identity_queries, effective_spaces
+        prepared = prepare_queries(queries, scheme, params,
+                                   is_protein=db.seqtype == AA,
+                                   query_ids=query_ids,
+                                   both_strands=both_strands,
+                                   identity_queries=identity_queries,
+                                   effective_spaces=effective_spaces)
+        return search_prepared(prepared, db, ka=ka, scan_cache=scan_cache)
 
 
 @dataclass
@@ -989,16 +863,16 @@ def prepare_queries(queries: Sequence[np.ndarray], scheme: ScoringScheme,
     Per-query arguments take the same defaults as :func:`search_batch`.
     """
     params = params or SearchParams()
-    query_ids, identity_queries, effective_spaces = _per_query_args(
-        len(queries), query_ids, identity_queries, effective_spaces)
-
-    def word_skip(oriented: np.ndarray):
-        if not params.filter_low_complexity:
-            return None
-        from repro.blast.filter import apply_query_filter
-
-        _, skip = apply_query_filter(oriented, is_protein, params.word_size)
-        return skip
+    n_q = len(queries)
+    query_ids = list(query_ids) if query_ids is not None else ["query"] * n_q
+    identity_queries = (list(identity_queries)
+                        if identity_queries is not None else [None] * n_q)
+    effective_spaces = (list(effective_spaces)
+                        if effective_spaces is not None else [None] * n_q)
+    if not (len(query_ids) == len(identity_queries)
+            == len(effective_spaces) == n_q):
+        raise ValueError("per-query argument sequences must match "
+                         "len(queries)")
 
     prof = current_profile()
     t0 = time.perf_counter() if prof is not None else 0.0
@@ -1007,19 +881,10 @@ def prepare_queries(queries: Sequence[np.ndarray], scheme: ScoringScheme,
     for qi, q in enumerate(queries):
         if len(q) < params.word_size:
             continue
-        entries.append((qi, q, 1))
-        if is_protein:
-            indexes.append(WordIndex.for_protein(
-                q, scheme, params.word_size, params.neighbor_threshold,
-                skip=word_skip(q)))
-        else:
-            indexes.append(WordIndex.for_dna(q, params.word_size,
-                                             skip=word_skip(q)))
-            if both_strands:
-                rc = reverse_complement(q)
-                entries.append((qi, rc, -1))
-                indexes.append(WordIndex.for_dna(rc, params.word_size,
-                                                 skip=word_skip(rc)))
+        for oriented, index, strand in _query_orientations(
+                q, scheme, params, is_protein, both_strands):
+            entries.append((qi, oriented, strand))
+            indexes.append(index)
     batch = qcat = qstarts = qlens = None
     if entries:
         batch = QueryBatch(indexes)
@@ -1071,15 +936,10 @@ def _search_prepared_impl(prepared: PreparedQueries, db: SequenceDB,
         return results
     spaces: List[Optional[Tuple[int, int]]] = [None] * len(results)
     for qi, _, _ in entries:
-        if spaces[qi] is not None:
-            continue
-        if prepared.effective_spaces[qi] is not None:
-            spaces[qi] = tuple(prepared.effective_spaces[qi])
-        elif params.effective_lengths:
-            spaces[qi] = effective_search_space(
-                ka, prepared.query_lens[qi], n_total, len(db))
-        else:
-            spaces[qi] = (prepared.query_lens[qi], n_total)
+        if spaces[qi] is None:
+            spaces[qi] = _search_space(ka, params, prepared.query_lens[qi],
+                                       n_total, len(db),
+                                       prepared.effective_spaces[qi])
 
     prof = current_profile()
     cache = scan_cache if scan_cache is not None else default_scan_cache()
@@ -1104,8 +964,8 @@ def _search_prepared_impl(prepared: PreparedQueries, db: SequenceDB,
     order: List[Tuple[int, int, List[HSP]]] = []
     if is_protein and params.two_hit_window > 0:
         # Two-hit seeding is an inherently sequential per-diagonal scan;
-        # run the per-group reference seeding/extension on each hit
-        # group (gapped refinement still batches across groups).
+        # run the per-group seeding/extension on each hit group
+        # (gapped refinement still batches across groups).
         for eid, sid, spos, qpos in groups:
             qi, oriented_query, strand = entries[eid]
             cands = _collect_candidates(oriented_query,
@@ -1162,8 +1022,8 @@ def _bulk_groups_to_jobs(groups, prepared: PreparedQueries, structs,
     surviving candidates become one :class:`_GappedJob` appended to
     *jobs* — with a matching ``(query, subject id, sink)`` row in
     *order* — for the caller's :func:`_finalize_candidates` pass, so
-    each group contributes exactly the HSPs :func:`_hsps_from_hits`
-    would have produced for it.
+    each group contributes exactly the HSPs :func:`_collect_candidates`
+    and :func:`_candidates_to_hsps` would have produced for it.
     """
     prof = current_profile()
     params = prepared.params

@@ -174,8 +174,6 @@ def _parallel_results(program: str, db, queries, params, jobs: int,
         pool_kw["respawn"] = False
     if args is not None and getattr(args, "no_fallback", False):
         pool_kw["serial_fallback"] = False
-    if args is not None and getattr(args, "no_query_batch", False):
-        pool_kw["query_batch"] = 0
     nodes = getattr(args, "nodes", None) if args is not None else None
     if nodes:
         pool_kw["nodes"] = [a for grp in nodes for a in grp.split(",")
@@ -239,19 +237,29 @@ def _search_store_serial(program: str, store, rec, params):
 
 
 def cmd_blastall(args) -> int:
+    if not getattr(args, "profile", False):
+        return _blastall(args)
+    from repro.blast.profile import PROFILE_ENV
+
+    # --profile reaches pool workers through the environment; restore
+    # it afterwards so an in-process caller is not left profiling.
+    previous = os.environ.get(PROFILE_ENV)
+    os.environ[PROFILE_ENV] = "1"
+    try:
+        return _blastall(args)
+    finally:
+        if previous is None:
+            del os.environ[PROFILE_ENV]
+        else:
+            os.environ[PROFILE_ENV] = previous
+
+
+def _blastall(args) -> int:
     from repro.blast.fasta import parse_fasta
     from repro.blast.programs import blastall
     from repro.blast.render import render_results
     from repro.blast.search import SearchParams
 
-    if getattr(args, "profile", False):
-        from repro.blast.profile import PROFILE_ENV
-
-        os.environ[PROFILE_ENV] = "1"
-    if getattr(args, "no_gapped_bulk", False):
-        from repro.blast.search import GAPPED_BULK_ENV
-
-        os.environ[GAPPED_BULK_ENV] = "0"
     protein_db = args.program in ("blastp", "blastx")
     store = None
     db_pack = getattr(args, "db_pack", None)
@@ -330,13 +338,12 @@ def cmd_blastall(args) -> int:
         else:
             print(f"# --jobs applies to blastn/blastp only; "
                   f"running {args.program} serially", file=sys.stderr)
-    # Serial multi-query runs go through the batched kernel by default:
-    # one database pass serves every query (byte-identical to the
-    # per-query dispatch).  --no-query-batch restores the query loop.
+    # Serial multi-query runs go through the batched kernel: one
+    # database pass serves every query (byte-identical to the
+    # per-query dispatch).
     batched = None
     if (parallel is None and store is None and len(queries) > 1
-            and args.program in ("blastn", "blastp")
-            and not getattr(args, "no_query_batch", False)):
+            and args.program in ("blastn", "blastp")):
         batched = _serial_batch_results(args.program, db, queries, params)
     for qi, rec in enumerate(queries):
         if parallel is not None:
@@ -550,16 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "needs --nodes; default 1, or 0 with --nodes)")
     p.add_argument("--fragments", type=int, default=None,
                    help="database fragments for --jobs (default 2x jobs)")
-    p.add_argument("--no-query-batch", action="store_true",
-                   help="search multi-query FASTA one query at a time "
-                        "instead of the multi-query batched kernel "
-                        "(results are identical; batching is the default "
-                        "for blastn/blastp)")
-    p.add_argument("--no-gapped-bulk", action="store_true",
-                   help="run gapped refinement with the scalar "
-                        "reference path instead of the batched "
-                        "two-pass kernel (results are identical; "
-                        "equivalent to REPRO_GAPPED_BULK=0)")
     p.add_argument("--profile", action="store_true",
                    help="emit per-stage timing JSON (pack/index/scan/"
                         "seed/extend/gapped_bulk/gapped) to stderr; "
@@ -588,12 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "segmentation; 0 = remote-only, needs --nodes)")
     p.add_argument("--fragments", type=int, default=None,
                    help="database fragments for --jobs (default 2x jobs)")
-    p.add_argument("--no-query-batch", action="store_true",
-                   help="search multi-query FASTA one query at a time "
-                        "instead of the multi-query batched kernel")
-    p.add_argument("--no-gapped-bulk", action="store_true",
-                   help="scalar gapped refinement (identical results; "
-                        "equivalent to REPRO_GAPPED_BULK=0)")
     p.add_argument("--profile", action="store_true",
                    help="emit per-stage timing JSON to stderr; "
                         "equivalent to REPRO_PROFILE=1")

@@ -17,10 +17,11 @@ master sends a tiny ``adopt`` instead of megabytes of pack bytes (a
 re-read, not a re-ship).
 
 The master side is :class:`NodeClient` (dial with bounded backoff,
-hello handshake, ship-or-adopt accounting) and :class:`_NodeProcess`, a
-duck-typed stand-in for ``multiprocessing.Process`` so a remote worker
-slots into the pool's existing ``_Worker`` bookkeeping — liveness
-sweeps, hang kills, and close() escalation all reuse one code path.
+version-checked hello handshake, ship-or-adopt accounting) and
+:class:`_NodeProcess`, a duck-typed stand-in for
+``multiprocessing.Process`` so a remote worker slots into the pool's
+existing ``_Worker`` bookkeeping — liveness sweeps, hang kills, and
+close() escalation all reuse one code path.
 
 :class:`NodeFleet` spawns local agents for tests, chaos sweeps, CI and
 benchmarks: the parent keeps each listening socket open, so respawning
@@ -51,8 +52,9 @@ from repro.exec.shm import (AttachedPack, PackDB, PackIntegrityError,
                             ShmRegistry, ensure_tracker, publish_pack_bytes,
                             read_pack_bytes)
 
-#: Wire protocol version, negotiated in the hello handshake.
-PROTO_VERSION = 1
+#: Wire protocol version; both ends of the hello handshake refuse a
+#: peer of another version.
+PROTO_VERSION = 2
 
 #: Exit code of an injected ``kill`` fault (SIGKILL semantics, no
 #: cleanup) — mirrors the pipe worker's ``_FAULT_EXIT``.
@@ -206,6 +208,12 @@ class NodeAgent:
                 if kind == "hello":
                     info = msg[1] if len(msg) > 1 else {}
                     rank = int(info.get("rank", 0))
+                    if info.get("proto") != PROTO_VERSION:
+                        conn.send(("error", rank, None, None,
+                                   f"wire protocol {info.get('proto')!r} "
+                                   f"is not this agent's "
+                                   f"{PROTO_VERSION}", -1))
+                        return
                     if self.fault_plan is not None:
                         if self._injector is None:
                             self._injector = FaultInjector(self.fault_plan,
@@ -269,8 +277,7 @@ class NodeAgent:
                 elif kind == "forget_job":
                     jobs.pop(msg[1], None)
                 elif kind == "task":
-                    qis, names = msg[1], msg[2]
-                    epoch = msg[3] if len(msg) > 3 else 0
+                    qis, names, epoch = msg[1], msg[2], msg[3]
                     frag_ids = tuple(
                         self._store[self._aliases[n]][0].fragment_id
                         if n in self._aliases else None for n in names)
@@ -412,6 +419,12 @@ class NodeClient:
                     and msg[0] == "ready"):
                 raise NodeConnectError(
                     f"node {self.label} answered {msg!r}, expected ready")
+            info = msg[2] if len(msg) > 2 else {}
+            if info.get("proto") != PROTO_VERSION:
+                raise NodeConnectError(
+                    f"node {self.label} speaks wire protocol "
+                    f"{info.get('proto')!r}, this master speaks "
+                    f"{PROTO_VERSION}")
         except NodeConnectError:
             conn.close()
             raise
@@ -423,7 +436,7 @@ class NodeClient:
             conn.close()
             raise
         self.conn = conn
-        self.node_info = msg[2] if len(msg) > 2 else {}
+        self.node_info = info
         self.held = {tuple(t) for t in self.node_info.get("held", ())}
         self.connects += 1
         self.retry_n = 0

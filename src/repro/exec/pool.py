@@ -300,12 +300,7 @@ def _worker_main(rank: int, conn, cfg: PoolConfig,
             elif kind == "forget_job":
                 jobs.pop(msg[1], None)
             elif kind == "task":
-                qis, names = msg[1], msg[2]
-                if isinstance(qis, int):     # legacy single-query task
-                    qis = (qis,)
-                if isinstance(names, str):   # legacy single-name task
-                    names = (names,)
-                epoch = msg[3] if len(msg) > 3 else 0
+                qis, names, epoch = msg[1], msg[2], msg[3]
                 if injector is not None:
                     fault = injector.on_task(
                         qis, tuple(frag_ids.get(n) for n in names))

@@ -529,10 +529,10 @@ class AttachedPack:
 class PackDB:
     """Duck-typed ``SequenceDB`` surface over an attached pack.
 
-    Serves ``search(engine="scan")`` in a worker without ever copying
-    sequence payloads: ``sequence(i)`` is a slice view into the shared
-    concatenation, descriptions decode lazily from the shared header
-    blob.  Carries the pack's ScanCache identity so a worker cache
+    Serves :func:`~repro.blast.search.search` in a worker without ever
+    copying sequence payloads: ``sequence(i)`` is a slice view into the
+    shared concatenation, descriptions decode lazily from the shared
+    header blob.  Carries the pack's ScanCache identity so a worker cache
     primed via :meth:`~repro.blast.scankernel.ScanCache.put` hits.
     """
 
@@ -568,7 +568,7 @@ class PackDB:
     def scan_structures(self, k: int, base: int):
         """The pack's pre-built structures when they match ``(k, base)``.
 
-        ``search(engine="scan")`` prefers this provider over a
+        :func:`~repro.blast.search.search` prefers this provider over a
         :class:`~repro.blast.scankernel.ScanCache` rebuild — the pack
         already *is* the scan structure, in shm or mmapped from disk —
         and falls back to the cache on mismatch (``None``).

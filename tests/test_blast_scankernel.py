@@ -1,24 +1,31 @@
 """The concatenated-fragment scan kernel and its cache.
 
-Covers the PR-3 tentpole: exact equivalence of the ``scan`` engine with
-the legacy per-sequence ``loop`` engine (nt and protein, both strands,
-randomized databases), the sentinel masking that keeps windows from
+Covers exact equivalence of ``search`` with the per-subject
+:func:`~repro.blast.reference.reference_search` oracle (nt and
+protein, both strands, randomized databases), the oracle's runtime
+boundary, the sentinel masking that keeps windows from
 spanning sequence boundaries, degenerate databases (short/empty/single
 sequences), the bounded LRU ScanCache, the batched ungapped extension,
 and the vectorised within-row E scan of the gapped aligner.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import repro
 from repro.blast import (ScanCache, SequenceDB, build_scan_structures,
                          default_scan_cache, scan_fragment)
 from repro.blast.alphabet import encode_dna, encode_protein
 from repro.blast.extend import batched_ungapped_extend, ungapped_extend
 from repro.blast.kmer import (_NEIGHBOR_CACHE, _NEIGHBOR_CACHE_MAX,
                               WordIndex, _all_words, word_codes)
+from repro.blast.reference import reference_search
 from repro.blast.score import BLOSUM62, NucleotideScore, ProteinScore
 from repro.blast.search import SearchParams, search
 from repro.blast.seqdb import AA, NT
@@ -94,7 +101,7 @@ def test_sentinel_spanning_windows_produce_no_hits():
 
     # Whole-pipeline view: no hits either.
     res = search(encode_dna("A" * 11), db, NucleotideScore(),
-                 SearchParams(), engine="scan", scan_cache=ScanCache())
+                 SearchParams(), scan_cache=ScanCache())
     assert res.hits == []
 
 
@@ -113,9 +120,9 @@ def test_short_empty_and_single_sequences():
 
     query = encode_dna("ACGTACGTACGTACGT")
     res_scan = search(query, db, NucleotideScore(), SearchParams(),
-                      engine="scan", scan_cache=ScanCache())
-    res_loop = search(query, db, NucleotideScore(), SearchParams(),
-                      engine="loop")
+                      scan_cache=ScanCache())
+    res_loop = reference_search(query, db, NucleotideScore(),
+                                SearchParams())
     assert dump(res_scan) == dump(res_loop)
     assert [h.subject_id for h in res_scan.hits] == [1]
 
@@ -174,9 +181,8 @@ def test_engines_equivalent_randomized_nt_both_strands():
         for gapped in (True, False):
             params = SearchParams(gapped=gapped)
             r_scan = search(query, db, NucleotideScore(), params,
-                            engine="scan", scan_cache=ScanCache())
-            r_loop = search(query, db, NucleotideScore(), params,
-                            engine="loop")
+                            scan_cache=ScanCache())
+            r_loop = reference_search(query, db, NucleotideScore(), params)
             assert dump(r_scan) == dump(r_loop)
         assert any(h.description == "planted" for h in r_scan.hits)
 
@@ -191,18 +197,53 @@ def test_engines_equivalent_randomized_protein():
         params = SearchParams(word_size=3, neighbor_threshold=11,
                               xdrop_ungapped=16, gapped_trigger=22)
         r_scan = search(query, db, ProteinScore(), params,
-                        engine="scan", scan_cache=ScanCache())
-        r_loop = search(query, db, ProteinScore(), params, engine="loop")
+                        scan_cache=ScanCache())
+        r_loop = reference_search(query, db, ProteinScore(), params)
         assert dump(r_scan) == dump(r_loop)
         assert any(h.description == "planted" for h in r_scan.hits)
 
 
-def test_engine_argument_validation():
-    db = SequenceDB(NT)
-    db.add("s", "ACGTACGTACGTACGT")
-    with pytest.raises(ValueError, match="engine"):
-        search(encode_dna("ACGTACGTACGT"), db, NucleotideScore(),
-               SearchParams(), engine="turbo")
+_BOUNDARY_SCRIPT = textwrap.dedent("""
+    import os
+    import sys
+
+    from repro.blast.alphabet import encode_dna
+    from repro.blast.score import NucleotideScore
+    from repro.blast.search import SearchParams
+    from repro.blast.seqdb import SequenceDB
+    from repro.cli import main
+    from repro.exec import ExecPool
+
+    directory, name, fasta = sys.argv[1:4]
+    assert main(["blastn", "-d", os.path.join(directory, name),
+                 "-i", fasta, "-m", "tabular"]) == 0
+    db = SequenceDB.load(directory, name)
+    with ExecPool(jobs=2) as pool:
+        res = pool.search(encode_dna(db.sequence_str(1)[:80]), db,
+                          NucleotideScore(), SearchParams(),
+                          n_fragments=2)
+    assert res.hits
+    assert "repro.blast.reference" not in sys.modules
+    print("boundary ok")
+""")
+
+
+def test_reference_oracle_stays_out_of_the_runtime(tmp_path):
+    """A serial CLI search and a two-worker pool search never import
+    the test oracle: it must not creep back onto a runtime path."""
+    rng = np.random.default_rng(5)
+    db = random_nt_db(rng, 10, min_len=100, max_len=200)
+    db.write(str(tmp_path))
+    fasta = tmp_path / "q.fasta"
+    fasta.write_text(">q\n" + db.sequence_str(3)[:90] + "\n")
+    out = subprocess.run(
+        [sys.executable, "-c", _BOUNDARY_SCRIPT, str(tmp_path), db.name,
+         str(fasta)],
+        env=dict(os.environ,
+                 PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__))),
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().endswith("boundary ok")
 
 
 # ----------------------------------------------------------------- the cache
@@ -268,7 +309,7 @@ def test_default_scan_cache_is_shared_and_used_by_search():
     db.add("s", "ACGTACGTACGTACGTACGTACGT")
     before = cache.stats()["misses"]
     search(encode_dna("ACGTACGTACGT"), db, NucleotideScore(),
-           SearchParams(), engine="scan")
+           SearchParams())
     assert cache.stats()["misses"] > before
 
 
@@ -358,9 +399,8 @@ def test_gap_open_not_above_extend_still_works_end_to_end():
     query = encode_dna("".join(seq))
     scheme = NucleotideScore(gap_open=1, gap_extend=2)
     params = SearchParams()
-    r_scan = search(query, db, scheme, params, engine="scan",
-                    scan_cache=ScanCache())
-    r_loop = search(query, db, scheme, params, engine="loop")
+    r_scan = search(query, db, scheme, params, scan_cache=ScanCache())
+    r_loop = reference_search(query, db, scheme, params)
     assert dump(r_scan) == dump(r_loop)
     assert r_scan.hits
 

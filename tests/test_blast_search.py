@@ -138,6 +138,28 @@ def test_merge_combines_fragments(nt_db):
     assert merged.best().evalue == pytest.approx(whole.best().evalue, rel=0.01)
 
 
+def test_merge_is_pure_and_repeatable():
+    """Merging rescales copies: the inputs keep their fragment-scaled
+    E-values, so a second merge gives the same result.  Each hit is
+    rescaled by its own fragment's factor, even when the other
+    fragment holds a hit equal to it."""
+    from repro.blast.search import HSP, Hit, SearchResults
+
+    def fragment(residues):
+        hsp = HSP(q_start=0, q_end=50, s_start=0, s_end=50, score=40,
+                  bit_score=30.0, evalue=1e-3, identities=50, align_len=50)
+        return SearchResults("q", 50, residues, 1,
+                             hits=[Hit(0, "s0", 100, [hsp])])
+
+    a, b = fragment(1000), fragment(3000)
+    first = a.merge(b)
+    second = a.merge(b)
+    assert first == second
+    assert a == fragment(1000) and b == fragment(3000)
+    assert [h.hsps[0].evalue for h in first.hits] == \
+        pytest.approx([1e-3 * 4 / 3, 1e-3 * 4])
+
+
 def test_merge_rejects_different_queries(nt_db):
     db, target = nt_db
     a = blastn(target[:100], db, query_id="q")

@@ -101,6 +101,32 @@ def test_reproduce_command(capsys):
     assert "Bonnie" in out
 
 
+def test_profile_flag_does_not_outlive_the_call(fasta_file, capsys,
+                                                monkeypatch):
+    """--profile reaches the searches of its own run only: the
+    environment switch is restored when main() returns."""
+    from repro.blast import blastn
+    from repro.blast.profile import PROFILE_ENV
+    from repro.blast.seqdb import SequenceDB
+
+    fasta, query, d = fasta_file
+    main(["formatdb", "-i", fasta, "-d", d, "-n", "mini"])
+    capsys.readouterr()
+    monkeypatch.delenv(PROFILE_ENV, raising=False)
+    assert main(["blastn", "-d", f"{d}/mini", "-i", query,
+                 "--profile"]) == 0
+    assert '"stages"' in capsys.readouterr().err
+    assert PROFILE_ENV not in os.environ
+    db = SequenceDB.load(d, "mini")
+    blastn("ACGTACGTACGTACGTACGT", db)
+    assert capsys.readouterr().err == ""
+
+    monkeypatch.setenv(PROFILE_ENV, "0")
+    assert main(["blastn", "-d", f"{d}/mini", "-i", query,
+                 "--profile"]) == 0
+    assert os.environ[PROFILE_ENV] == "0"
+
+
 def test_blastall_tabular_output(fasta_file, capsys):
     fasta, query, d = fasta_file
     main(["formatdb", "-i", fasta, "-d", d, "-n", "mini"])

@@ -24,7 +24,7 @@ from repro.exec.net import (DATA, FRAME_MAGIC, HEADER_SIZE,
                             FrameSequenceError, FrameTruncated,
                             NodeConnectError, backoff_delay, connect_backoff,
                             encode_frame, parse_address)
-from repro.exec.nodes import NodeAgent
+from repro.exec.nodes import PROTO_VERSION, NodeAgent, NodeClient
 from repro.exec.pool import JobSpec
 from repro.exec.results import decode_result_pairs
 from repro.exec.shm import ShmRegistry, pack_fragment, read_pack_bytes
@@ -313,7 +313,7 @@ def test_agent_session_protocol_and_stale_epoch():
     try:
         sock = socket.create_connection(agent.address, timeout=5.0)
         conn = FrameConnection(sock, name="master")
-        conn.send(("hello", {"proto": 1, "rank": 9}))
+        conn.send(("hello", {"proto": PROTO_VERSION, "rank": 9}))
         kind, rank, info = conn.recv()
         assert (kind, rank) == ("ready", 9)
         assert info["node"] == "proto-test" and info["held"] == []
@@ -347,7 +347,7 @@ def test_agent_session_protocol_and_stale_epoch():
         # an adopt re-uses it without reshipping a byte.
         sock = socket.create_connection(agent.address, timeout=5.0)
         conn = FrameConnection(sock, name="master2")
-        conn.send(("hello", {"proto": 1, "rank": 9}))
+        conn.send(("hello", {"proto": PROTO_VERSION, "rank": 9}))
         _, _, info = conn.recv()
         assert tuple(spec.cache_token) in {tuple(t) for t in info["held"]}
         conn.send(("adopt", spec.name, spec.cache_token))
@@ -372,7 +372,7 @@ def test_agent_rejects_adopt_of_unknown_identity():
     try:
         sock = socket.create_connection(agent.address, timeout=5.0)
         conn = FrameConnection(sock, name="master")
-        conn.send(("hello", {"rank": 0}))
+        conn.send(("hello", {"proto": PROTO_VERSION, "rank": 0}))
         assert conn.recv()[0] == "ready"
         conn.send(("adopt", "packX", ("tok", 0, 0)))
         msg = conn.recv()
@@ -383,3 +383,54 @@ def test_agent_rejects_adopt_of_unknown_identity():
     finally:
         server.join(timeout=10.0)
         agent.close()
+
+
+@pytest.mark.parametrize("proto", [PROTO_VERSION - 1, None])
+def test_agent_refuses_other_wire_protocol(proto):
+    """A master of another wire version (or none) gets an error and a
+    closed session, never a ready."""
+    agent = NodeAgent("127.0.0.1", 0, node_id="proto-agent")
+    server = threading.Thread(target=agent.serve, kwargs={"max_sessions": 1},
+                              daemon=True)
+    server.start()
+    try:
+        sock = socket.create_connection(agent.address, timeout=5.0)
+        conn = FrameConnection(sock, name="master")
+        hello = {"rank": 2} if proto is None else {"proto": proto, "rank": 2}
+        conn.send(("hello", hello))
+        msg = conn.recv()
+        assert msg[0] == "error" and "wire protocol" in msg[4]
+        with pytest.raises(EOFError):
+            conn.recv()
+        conn.close()
+    finally:
+        server.join(timeout=10.0)
+        agent.close()
+
+
+def test_client_refuses_agent_of_other_wire_protocol():
+    """An agent answering the hello with another wire version is
+    refused by the master with a typed error."""
+    lsock = socket.create_server(("127.0.0.1", 0))
+
+    def old_agent():
+        sock, _ = lsock.accept()
+        conn = FrameConnection(sock, name="agent")
+        conn.recv()                                   # the hello
+        conn.send(("ready", 0, {"proto": PROTO_VERSION - 1, "held": []}))
+        try:
+            conn.recv()                               # until hung up
+        except (EOFError, OSError, FrameError):
+            pass
+        conn.close()
+
+    server = threading.Thread(target=old_agent, daemon=True)
+    server.start()
+    try:
+        client = NodeClient(lsock.getsockname(), rank=0)
+        with pytest.raises(NodeConnectError, match="wire protocol"):
+            client.connect(hello_timeout=5.0)
+        assert client.conn is None
+    finally:
+        server.join(timeout=10.0)
+        lsock.close()

@@ -12,6 +12,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from repro.blast.reference import reference_search
 from repro.blast.scankernel import db_token
 from repro.blast.score import NucleotideScore, ProteinScore
 from repro.blast.search import SearchParams, search
@@ -158,10 +159,9 @@ def test_pool_matches_serial_nt_both_strands_many_fragments():
             for qi, q in enumerate(queries):
                 par = pool.search(q, db, scheme, params,
                                   query_id=f"q{qi}", n_fragments=nf)
-                ser_scan = search(q, db, scheme, params, query_id=f"q{qi}",
-                                  engine="scan")
-                ser_loop = search(q, db, scheme, params, query_id=f"q{qi}",
-                                  engine="loop")
+                ser_scan = search(q, db, scheme, params, query_id=f"q{qi}")
+                ser_loop = reference_search(q, db, scheme, params,
+                                            query_id=f"q{qi}")
                 assert dump(par) == dump(ser_scan) == dump(ser_loop)
 
 
@@ -390,8 +390,8 @@ def test_worker_main_protocol_in_process():
             ("attach", spec),
             ("attach", spec),               # idempotent re-attach
             ("job", 0, job),
-            ("task", 0, (spec.name,)),       # legacy int-qi task
-            ("task", (0,), ("no-such-pack",)),  # -> error reply
+            ("task", (0,), (spec.name,), 5),
+            ("task", (0,), ("no-such-pack",), 5),  # -> error reply
             ("bogus",),                     # -> unknown-message error
             ("forget_job", 0),
             ("detach", spec.name),
@@ -402,9 +402,10 @@ def test_worker_main_protocol_in_process():
         kinds = [m[0] for m in conn.sent]
         assert kinds == ["ready", "result", "error", "error", "stopped"]
         result_msg = conn.sent[1]
-        # A legacy int-qi task is normalized to a one-query batch and
-        # echoed back as such; result pairs are (name, qi, res) triples.
+        # The task's batch, range and epoch are echoed back; result
+        # pairs are (name, qi, res) triples.
         assert result_msg[1:4] == (3, (0,), (spec.name,))
+        assert result_msg[6] == 5 and conn.sent[2][5] == 5
         mode, pairs = result_msg[4]
         assert mode == "inline" and pairs[0][:2] == (spec.name, 0)
         assert dump(pairs[0][2]) == dump(

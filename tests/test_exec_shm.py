@@ -93,8 +93,7 @@ def test_packdb_serves_scan_search_identically():
         pdb = PackDB(pack)
         cache = ScanCache()
         cache.put(pdb, 11, 4, pack.structs)
-        got = search(query, pdb, scheme, params, engine="scan",
-                     scan_cache=cache)
+        got = search(query, pdb, scheme, params, scan_cache=cache)
         want = search(query, db, scheme, params)
         assert [h.subject_id for h in got.hits] == \
                [h.subject_id for h in want.hits]

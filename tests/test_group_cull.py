@@ -5,8 +5,8 @@ group whose best seed score is below both the gapped trigger (when
 gapped refinement is on) and the smallest score whose E-value passes
 the cutoff.  Such a group can neither trigger a gapped DP nor emit an
 HSP, so the cull must never change output.  Every case here compares
-``search_batch`` byte for byte against per-query ``search`` (whose scan
-branch never culls) and against the ``engine="loop"`` reference, with
+``search_batch`` byte for byte against per-query ``search`` (which
+never culls) and against the ``reference_search`` oracle, with
 the cut placed on both sides of the trigger and at the exact threshold
 score.
 """
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.blast.profile import profiled
+from repro.blast.reference import reference_search
 from repro.blast.score import NucleotideScore, ProteinScore
 from repro.blast.search import (SearchParams, _live_groups, resolve_ka,
                                 search, search_batch)
@@ -67,7 +68,8 @@ def nt_case():
 
 
 def check_identical(queries, db, scheme, params, **kw):
-    """search_batch == per-query search == loop engine, byte for byte.
+    """search_batch == per-query search == reference oracle, byte for
+    byte.
     Returns the batch's profile counters."""
     n = len(queries)
     ids = [f"q{i}" for i in range(n)]
@@ -77,9 +79,10 @@ def check_identical(queries, db, scheme, params, **kw):
         batch = search_batch(queries, db, scheme, params, query_ids=ids,
                              identity_queries=identity,
                              effective_spaces=spaces, **kw)
-    loop = search_batch(queries, db, scheme, params, query_ids=ids,
-                        identity_queries=identity, effective_spaces=spaces,
-                        engine="loop", **kw)
+    loop = [reference_search(q, db, scheme, params, query_id=ids[i],
+                             identity_query=identity[i],
+                             effective_space=spaces[i], **kw)
+            for i, q in enumerate(queries)]
     single = [search(q, db, scheme, params, query_id=ids[i],
                      identity_query=identity[i],
                      effective_space=spaces[i], **kw)

@@ -2,7 +2,8 @@
 ``search_batch`` byte-identity against sequential ``search`` across
 alphabets / masking / degenerate query sets, query-batch planning, the
 batched task protocol through the real pool (fault injection
-included), per-stage profiling output, and the CLI escape hatch."""
+included), per-stage profiling output, and the CLI's batched serial
+path."""
 
 import dataclasses
 import json
@@ -13,6 +14,7 @@ import pytest
 
 from repro.blast.kmer import WordIndex
 from repro.blast.profile import PROFILE_ENV
+from repro.blast.reference import reference_search
 from repro.blast.scankernel import (QueryBatch, build_scan_structures,
                                     scan_fragment, scan_fragment_batch)
 from repro.blast.score import NucleotideScore, ProteinScore
@@ -168,10 +170,10 @@ def test_search_batch_loop_engine_and_validation():
     scheme = NucleotideScore()
     params = SearchParams(word_size=11)
     queries = [db.sequence(i)[:90].copy() for i in (1, 6)]
-    assert batch_dumps(queries, db, scheme, params, engine="loop") == \
-        batch_dumps(queries, db, scheme, params)
-    with pytest.raises(ValueError):
-        search_batch(queries, db, scheme, params, engine="bogus")
+    reference = [dump(reference_search(q, db, scheme, params,
+                                       query_id=f"q{i}"))
+                 for i, q in enumerate(queries)]
+    assert batch_dumps(queries, db, scheme, params) == reference
     with pytest.raises(ValueError):
         search_batch(queries, db, scheme, params, query_ids=["just-one"])
 
@@ -291,23 +293,29 @@ def test_profile_disabled_is_silent(monkeypatch, capsys):
 # CLI
 # ----------------------------------------------------------------------
 def test_cli_batched_tabular_output_matches_no_query_batch(tmp_path, capsys):
+    """A multi-query serial run (one batched pass) prints exactly what
+    the same queries print one at a time, without query batching."""
     from repro.cli import main
 
     rng = np.random.default_rng(61)
     db = random_nt_db(rng, 16, min_len=120, max_len=300)
     db.write(str(tmp_path))
     fasta = tmp_path / "q.fasta"
-    with open(fasta, "w") as f:
-        for i in (0, 4, 9, 13):
-            seq = "".join(NT_LETTERS[db.sequence(i)[:130]])
-            f.write(f">q{i}\n{seq}\n")
+    records = [f">q{i}\n{''.join(NT_LETTERS[db.sequence(i)[:130]])}\n"
+               for i in (0, 4, 9, 13)]
+    fasta.write_text("".join(records))
     dbpath = str(tmp_path / db.name)
 
     assert main(["blastn", "-d", dbpath, "-i", str(fasta),
                  "-m", "tabular"]) == 0
     batched_out = capsys.readouterr().out
-    assert main(["blastn", "-d", dbpath, "-i", str(fasta),
-                 "-m", "tabular", "--no-query-batch"]) == 0
-    serial_out = capsys.readouterr().out
+    # A one-query FASTA takes the per-query search() dispatch.
+    serial_out = ""
+    for rec in records:
+        one = tmp_path / "one.fasta"
+        one.write_text(rec)
+        assert main(["blastn", "-d", dbpath, "-i", str(one),
+                     "-m", "tabular"]) == 0
+        serial_out += capsys.readouterr().out
     assert batched_out == serial_out
     assert batched_out.strip(), "tabular output should not be empty"

@@ -2,8 +2,9 @@
 """Machine-readable engine microbenchmark: emits BENCH_blast.json.
 
 Measures the real BLAST engine (not the simulation) on a synthetic
-nucleotide corpus: kernel throughput warm and cold, the legacy
-per-sequence loop for comparison, per-stage timings (fragment packing,
+nucleotide corpus: kernel throughput warm and cold, the per-subject
+loop of the :func:`repro.blast.reference.reference_search` oracle for
+comparison, per-stage timings (fragment packing,
 query index build, fragment scan), and an old-vs-new equivalence smoke
 check.  The JSON keeps the perf trajectory comparable across PRs.
 
@@ -35,7 +36,8 @@ Every run also times the multi-query batched kernel
 latency); on a gate-sized corpus the 8-query batch must reach
 ``MULTI_QUERY_FLOOR`` (1.5x) or the run fails.
 Every run also times the two-pass batched gapped stage against the
-scalar reference path on a fixed protein corpus (the ``gapped``
+scalar gapped path of the reference oracle on a fixed protein corpus
+(the ``gapped``
 section: ``gapped_stage_bulk_s`` / ``gapped_stage_scalar_s`` /
 ``gapped_speedup``, gated >= ``GAPPED_FLOOR`` = 1.5x), and records the
 per-stage ``REPRO_PROFILE=1`` view of one warm search on the nt corpus
@@ -276,7 +278,7 @@ def measure_multi_query(db, scheme, params, rounds: int) -> dict:
 
         def sequential():
             return [search(q, db, scheme, params, query_id=ids[i],
-                           engine="scan", scan_cache=cache)
+                           scan_cache=cache)
                     for i, q in enumerate(queries)]
 
         def batched():
@@ -305,7 +307,8 @@ def measure_multi_query(db, scheme, params, rounds: int) -> dict:
 
 def measure_gapped(rounds: int,
                    aa_residues: int = GAPPED_AA_RESIDUES) -> dict:
-    """Two-pass batched gapped stage vs the scalar reference path.
+    """Two-pass batched gapped stage vs the reference oracle's scalar
+    gapped path.
 
     The workload is a protein corpus searched with a noisy query (a
     corpus extract with every 9th residue mutated): blastp's
@@ -314,12 +317,10 @@ def measure_gapped(rounds: int,
     exact population the bulk score-only pass culls before traceback.
     Stage time is read from the profile buckets (``gapped`` +
     ``gapped_bulk``), not end-to-end wall time, so the gate measures
-    the stage it gates.  Results must match the scalar path byte for
-    byte.
+    the stage it gates.  Results must match the oracle byte for byte.
     """
-    from dataclasses import replace
-
     from repro.blast.profile import profiled
+    from repro.blast.reference import reference_search
     from repro.blast.score import ProteinScore
     from repro.blast.search import SearchParams, search
     from repro.workloads import synthetic_aa_db
@@ -328,25 +329,24 @@ def measure_gapped(rounds: int,
     query = db.sequence(1)[:350].copy()
     query[::9] = (query[::9] + 1) % 20
     scheme = ProteinScore()
-    p_bulk = SearchParams(word_size=3)
-    p_scalar = replace(p_bulk, gapped_bulk=False)
+    params = SearchParams(word_size=3)
 
-    def stage_time(params):
+    def stage_time(driver):
         samples, counters = [], {}
         for _ in range(rounds):
             with profiled("bench_gapped", enabled=True, emit=False) as prof:
-                search(query, db, scheme, params, query_id="bench")
+                driver(query, db, scheme, params, query_id="bench")
             samples.append(prof.stages.get("gapped", 0.0)
                            + prof.stages.get("gapped_bulk", 0.0))
             counters = {k: v for k, v in prof.counters.items()
                         if k.startswith("gapped")}
         return _median(samples), counters
 
-    r_bulk = search(query, db, scheme, p_bulk, query_id="bench")
-    r_scalar = search(query, db, scheme, p_scalar, query_id="bench")
+    r_bulk = search(query, db, scheme, params, query_id="bench")
+    r_scalar = reference_search(query, db, scheme, params, query_id="bench")
     equivalent = _dump_results(r_bulk) == _dump_results(r_scalar)
-    bulk_s, bulk_counters = stage_time(p_bulk)
-    scalar_s, scalar_counters = stage_time(p_scalar)
+    bulk_s, bulk_counters = stage_time(search)
+    scalar_s, scalar_counters = stage_time(reference_search)
     return {
         "floor": GAPPED_FLOOR,
         "corpus": {"residues": db.total_residues,
@@ -363,7 +363,7 @@ def measure_gapped(rounds: int,
 
 def gapped_gate(result: dict) -> list:
     """Hard gate on the batched gapped stage (empty = pass): results
-    must match the scalar reference path exactly and the stage speedup
+    must match the reference oracle exactly and the stage speedup
     must reach the floor."""
     g = result.get("gapped")
     if not g:
@@ -371,7 +371,7 @@ def gapped_gate(result: dict) -> list:
     failures = []
     if not g.get("equivalent", True):
         failures.append("gapped: two-pass bulk results disagree with "
-                        "the scalar reference path")
+                        "the reference oracle")
     sp = g.get("gapped_speedup", 0.0)
     if sp < g.get("floor", GAPPED_FLOOR):
         failures.append(
@@ -566,6 +566,7 @@ def run_benchmarks(residues: int, rounds: int,
     from repro.blast.kmer import WordIndex
     from repro.blast.scankernel import (ScanCache, build_scan_structures,
                                         scan_fragment)
+    from repro.blast.reference import reference_search
     from repro.blast.score import NucleotideScore
     from repro.blast.search import SearchParams, search
     from repro.workloads import extract_query, synthetic_nt_db
@@ -576,10 +577,9 @@ def run_benchmarks(residues: int, rounds: int,
     params = SearchParams()
     cache = ScanCache()
 
-    # Equivalence smoke: the kernel must reproduce the loop exactly.
-    r_scan = search(query, db, scheme, params, engine="scan",
-                    scan_cache=cache)
-    r_loop = search(query, db, scheme, params, engine="loop")
+    # Equivalence smoke: the kernel must reproduce the oracle exactly.
+    r_scan = search(query, db, scheme, params, scan_cache=cache)
+    r_loop = reference_search(query, db, scheme, params)
     equivalent = _dump_results(r_scan) == _dump_results(r_loop)
 
     # Stage timings.
@@ -593,15 +593,15 @@ def run_benchmarks(residues: int, rounds: int,
     # End-to-end searches.
     def cold():
         cache.clear()
-        search(query, db, scheme, params, engine="scan", scan_cache=cache)
+        search(query, db, scheme, params, scan_cache=cache)
 
     def warm():
-        search(query, db, scheme, params, engine="scan", scan_cache=cache)
+        search(query, db, scheme, params, scan_cache=cache)
 
     cold_s = _time(cold, rounds)
     warm()  # ensure the cache is populated before warm timing
     warm_s = _time(warm, rounds)
-    loop_s = _time(lambda: search(query, db, scheme, params, engine="loop"),
+    loop_s = _time(lambda: reference_search(query, db, scheme, params),
                    rounds)
 
     # Per-stage profile of one warm search on the benchmark corpus —
@@ -611,7 +611,7 @@ def run_benchmarks(residues: int, rounds: int,
     from repro.blast.profile import profiled
 
     with profiled("bench_profile", enabled=True, emit=False) as prof:
-        search(query, db, scheme, params, engine="scan", scan_cache=cache)
+        search(query, db, scheme, params, scan_cache=cache)
     profile = {"stages": {k: round(v, 6) for k, v in prof.stages.items()},
                "counters": dict(prof.counters)}
 
@@ -750,7 +750,8 @@ def check_against(current: dict, baseline_path: str, tolerance: float) -> int:
           f"(tolerance {tolerance:.0%})")
     ok = True
     if not current["equivalent"]:
-        print("FAIL: scan and loop engines disagree on SearchResults")
+        print("FAIL: the scan kernel and the reference oracle disagree "
+              "on SearchResults")
         ok = False
     if cur_ratio < floor:
         print("FAIL: kernel speedup regressed past tolerance")
@@ -857,7 +858,8 @@ def main(argv=None) -> int:
     if args.check:
         return check_against(result, args.check, args.tolerance)
     if not result["equivalent"]:
-        print("FAIL: scan and loop engines disagree on SearchResults")
+        print("FAIL: the scan kernel and the reference oracle disagree "
+              "on SearchResults")
         return 1
     failures = (parallel_gate(result) + diskpack_gate(result)
                 + multi_query_gate(result) + gapped_gate(result)
