@@ -68,11 +68,6 @@ class CPU:
     def active_tasks(self) -> int:
         return len(self._tasks)
 
-    def rate(self) -> float:
-        """Per-task execution rate with the current active set."""
-        k = len(self._tasks)
-        return 0.0 if k == 0 else min(1.0, self.cores / k)
-
     def utilization(self) -> float:
         """Time-averaged fraction of cores busy since t=0."""
         return self.busy_cores.time_average / self.cores
@@ -102,42 +97,50 @@ class CPU:
         yield self.consume(work)
 
     # ------------------------------------------------------------------
+    # The three methods below run on every task arrival, completion and
+    # timer.  The per-task rate ``min(1, cores / k)`` and the busy-core
+    # clamp ``min(k, cores)`` are written as comparisons that select the
+    # operand ``min`` would, so every value is bit-identical to the
+    # plain formulas.
     def _advance(self) -> None:
         """Charge elapsed time against every active task."""
-        now = self.sim.now
+        now = self.sim._now
         dt = now - self._last_update
         self._last_update = now
-        if dt <= 0 or not self._tasks:
+        tasks = self._tasks
+        if dt <= 0 or not tasks:
             return
-        progress = dt * self.rate()
-        self.total_work_done += progress * len(self._tasks)
+        k = len(tasks)
+        progress = dt * (1.0 if k <= self.cores else self.cores / k)
+        self.total_work_done += progress * k
         finished = []
-        for tid, task in self._tasks.items():
+        for tid, task in tasks.items():
             task.remaining -= progress
             if task.remaining <= 1e-12:
                 finished.append(tid)
         for tid in finished:
-            task = self._tasks.pop(tid)
-            task.done.succeed()
+            tasks.pop(tid).done.succeed()
         if finished:
             self._update_monitors()
 
     def _update_monitors(self) -> None:
         k = len(self._tasks)
         self.load.set(k)
-        self.busy_cores.set(min(k, self.cores))
+        self.busy_cores.set(k if k <= self.cores else self.cores)
 
     def _reschedule(self) -> None:
         """(Re)arm the completion timer for the earliest finisher."""
         if self._timer is not None:
-            self._timer.cancel()
+            self._timer.cancelled = True
             self._timer = None
-        if not self._tasks:
+        tasks = self._tasks
+        if not tasks:
             return
-        soonest = min(t.remaining for t in self._tasks.values())
-        delay = soonest / self.rate()
-        timer = Timeout(self.sim, delay)
-        timer.add_callback(self._on_timer)
+        soonest = min([t.remaining for t in tasks.values()])
+        k = len(tasks)
+        timer = Timeout(self.sim, soonest / (1.0 if k <= self.cores
+                                             else self.cores / k))
+        timer.callbacks.append(self._on_timer)
         self._timer = timer
 
     def _cancel_task(self, tid: int) -> None:

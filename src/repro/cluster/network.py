@@ -118,8 +118,10 @@ class Network:
                         wire += p.latency
                         first = False
                     yield Timeout(self.sim, wire)
-                    snic.tx_busy.set(0 if snic.tx.queue_length == 0 else 1)
-                    dnic.rx_busy.set(0 if dnic.rx.queue_length == 0 else 1)
+                    # ``_queue`` directly: the channels are plain FCFS
+                    # Resources, and this runs once per segment.
+                    snic.tx_busy.set(1 if snic.tx._queue else 0)
+                    dnic.rx_busy.set(1 if dnic.rx._queue else 0)
                     txreq.release()
                     rxreq.release()
                     txreq = rxreq = None

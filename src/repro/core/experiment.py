@@ -147,6 +147,9 @@ class ExperimentResult:
     tracer: Optional[TraceCollector] = None
     #: Per-query makespans when ``n_queries > 1``.
     query_times: list = field(default_factory=list)
+    #: Events the job's simulator fired (``sim.check.events_fired``;
+    #: the ORIGINAL copy phase runs on a simulator of its own).
+    events_fired: int = 0
 
     @property
     def io_fraction(self) -> float:
@@ -291,4 +294,5 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         job=job,
         tracer=tracer,
         query_times=query_times,
+        events_fired=sim.check.events_fired,
     )

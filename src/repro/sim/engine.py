@@ -13,9 +13,9 @@ depend on insertion order.
 
 from __future__ import annotations
 
-import heapq
 import os
 import random
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 #: Priority used for ordinary events.
@@ -98,7 +98,6 @@ class Simulator:
         self._now = float(start)
         self._heap: list = []
         self._seq = 0
-        self._active: int = 0  # events on the heap that are not cancelled
         self._processes: set = set()  # live Process objects (see orphans())
         if tie_break_seed is None:
             tie_break_seed = default_tie_break_seed()
@@ -124,11 +123,11 @@ class Simulator:
         if event.scheduled:
             raise SimulationError(f"event {event!r} scheduled twice")
         event.scheduled = True
-        self._seq += 1
-        rank = self._tie_rng.getrandbits(32) if self._tie_rng is not None else 0
-        heapq.heappush(self._heap,
-                       (self._now + delay, priority, rank, self._seq, event))
-        self._active += 1
+        self._seq = seq = self._seq + 1
+        tie = self._tie_rng
+        heappush(self._heap, (self._now + delay, priority,
+                              tie.getrandbits(32) if tie is not None else 0,
+                              seq, event))
 
     # ------------------------------------------------------------------
     def process(self, generator: Generator, name: Optional[str] = None,
@@ -194,10 +193,10 @@ class Simulator:
             If the heap is empty (instead of leaking ``IndexError``
             from the underlying ``heapq``).
         """
-        if not self._heap:
+        heap = self._heap
+        if not heap:
             raise SimulationError("step on empty heap")
-        when, _prio, _rank, _seq, event = heapq.heappop(self._heap)
-        self._active -= 1
+        when, _prio, _rank, _seq, event = heappop(heap)
         if event.cancelled:
             return
         if when < self._now:
@@ -234,16 +233,26 @@ class Simulator:
             If the event heap drains (deadlock) before all the given
             events have triggered, or the time *limit* is exceeded.
         """
-        pending = [p for p in processes if not p.triggered]
-        while pending:
-            if not self._heap:
+        # Targets fire in any order; ``i`` only moves past a target once
+        # it has fired, so each step costs O(1) amortised instead of a
+        # rebuilt pending list.  ``self.step`` is looked up per call so
+        # a wrapped ``Simulator.step`` (an event counter) still sees
+        # every event.
+        i, n = 0, len(processes)
+        heap, step = self._heap, self.step
+        while True:
+            while i < n and processes[i].triggered:
+                i += 1
+            if i == n:
+                return
+            if not heap:
+                pending = sum(1 for p in processes[i:] if not p.triggered)
                 raise SimulationError(
-                    f"deadlock: {len(pending)} process(es) never completed"
+                    f"deadlock: {pending} process(es) never completed"
                 )
             if self._now > limit:
                 raise SimulationError(f"simulation exceeded time limit {limit}")
-            self.step()
-            pending = [p for p in pending if not p.triggered]
+            step()
 
     # ------------------------------------------------------------------
     def peek(self) -> float:

@@ -132,10 +132,17 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: Simulator, delay: float, value: Any = None):
-        super().__init__(sim)
-        self.delay = float(delay)
+        # Event.__init__ written out: timeouts are the most numerous
+        # events, and the super() call is measurable on that path.
+        self.sim = sim
+        self.callbacks = []
+        self.triggered = False
+        self.scheduled = False
+        self.cancelled = False
         self._value = value
-        sim.schedule(self, self.delay)
+        self._failed = False
+        self.delay = delay = float(delay)
+        sim.schedule(self, delay)
 
 
 class _Condition(Event):

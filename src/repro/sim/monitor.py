@@ -11,6 +11,8 @@ from repro.sim.engine import Simulator
 class Monitor:
     """Records (time, value) observations and computes summary stats."""
 
+    __slots__ = ("sim", "name", "times", "values")
+
     def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
         self.name = name
@@ -65,7 +67,16 @@ class Monitor:
 
 class TimeWeightedMonitor:
     """Tracks a piecewise-constant level (e.g. queue length, utilization)
-    and integrates it over time."""
+    and integrates it over time.
+
+    :meth:`set` is on the simulator's hottest path (every CPU, disk and
+    NIC state change), so it integrates inline and reads the clock
+    straight from ``sim._now``; the expression is the one
+    :meth:`_advance` uses, so both give the same area to the last bit.
+    """
+
+    __slots__ = ("sim", "name", "_level", "_last_t", "_start_t", "_area",
+                 "_max")
 
     def __init__(self, sim: Simulator, initial: float = 0.0, name: str = ""):
         self.sim = sim
@@ -81,9 +92,12 @@ class TimeWeightedMonitor:
         return self._level
 
     def set(self, value: float) -> None:
-        self._advance()
-        self._level = float(value)
-        self._max = max(self._max, self._level)
+        now = self.sim._now
+        self._area += self._level * (now - self._last_t)
+        self._last_t = now
+        self._level = level = float(value)
+        if level > self._max:
+            self._max = level
 
     def add(self, delta: float) -> None:
         self.set(self._level + delta)

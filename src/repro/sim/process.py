@@ -130,10 +130,10 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
         try:
-            if event.failed:
-                target = self.generator.throw(event.value)
+            if event._failed:
+                target = self.generator.throw(event._value)
             else:
-                target = self.generator.send(event.value)
+                target = self.generator.send(event._value)
         except StopIteration as stop:
             self.succeed(stop.value, priority=URGENT)
             return
@@ -179,7 +179,10 @@ class Process(Event):
                 f"process {self.name!r} yielded an event from another simulator"))
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        if target.triggered:
+            self._resume(target)
+        else:
+            target.callbacks.append(self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Process {self.name!r} {'done' if self.triggered else 'alive'}>"

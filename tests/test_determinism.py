@@ -6,7 +6,8 @@ execution time and the whole JobResult fingerprint.  Representative
 figure-6 (PVFS server sweep) and figure-7 (PVFS vs CEFT, dedicated
 placement) measurement points are additionally pinned against golden
 values in ``benchmarks/results/determinism_golden.json``; any kernel
-change that shifts them must regenerate the goldens deliberately::
+change that shifts them must regenerate the goldens deliberately
+(and re-pin ``EVENTS_FIRED``, the number of events each one fires)::
 
     PYTHONPATH=src python tests/test_determinism.py --regen
 """
@@ -42,6 +43,19 @@ CONFIGS = {
     "fig7_ceft_w3_s8_dedicated": ExperimentConfig(
         variant=Variant.CEFT_PVFS, n_workers=3, n_servers=8,
         placement=Placement.DEDICATED).scaled(SCALE),
+}
+
+
+#: ``sim.check.events_fired`` for each pinned point on the default
+#: (unperturbed) schedule.  A kernel change that keeps these goldens
+#: but adds or drops an event can still move results elsewhere; the pin
+#: makes it fail here.  Kept out of the golden file, whose entries the
+#: benchmark compares whole.
+EVENTS_FIRED = {
+    "fig6_pvfs_w2_s8": 10337,
+    "fig6_pvfs_w4_s4": 10711,
+    "fig7_ceft_w3_s8_dedicated": 11823,
+    "fig7_pvfs_w3_s8_dedicated": 11366,
 }
 
 
@@ -90,6 +104,49 @@ def test_pinned_against_golden(name):
         f"{name} missing from {GOLDEN_PATH.name}; regenerate with "
         f"'PYTHONPATH=src python tests/test_determinism.py --regen'")
     assert compute_entry(CONFIGS[name]) == goldens[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_pinned_event_count(name, monkeypatch):
+    from repro.sim import engine
+
+    monkeypatch.setattr(engine, "_TIE_BREAK_OVERRIDE", None)
+    monkeypatch.delenv("REPRO_TIE_BREAK_SEED", raising=False)
+    assert run_experiment(CONFIGS[name]).events_fired == EVENTS_FIRED[name]
+
+
+# ---------------------------------------------------------------- bench
+def _bench_engine():
+    import importlib.util
+
+    path = GOLDEN_PATH.parents[2] / "tools" / "bench_engine.py"
+    spec = importlib.util.spec_from_file_location("bench_engine", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_sim_section_times_the_pinned_points(monkeypatch, tmp_path):
+    bench = _bench_engine()
+    assert bench.sim_configs() == CONFIGS
+    monkeypatch.setattr(bench, "SIM_ROUNDS_MIN", 2)
+    sim = bench.measure_sim(rounds=1)
+    assert sim["rounds"] == 2 and sim["golden_mismatches"] == []
+    assert sim["events_per_round"] == sum(EVENTS_FIRED.values())
+    assert sim["events_per_s"]["median"] > 0
+    assert sim["experiment_s"]["iqr"] >= 0
+
+    # No floor, and a baseline recorded before the section existed is
+    # accepted; only a wrong answer fails.
+    corpus = {"residues": 1}
+    current = {"corpus": corpus, "speedup_kernel_over_loop": 2.0,
+               "equivalent": True, "sim": sim}
+    baseline = tmp_path / "BENCH_blast.json"
+    baseline.write_text(json.dumps({"corpus": corpus,
+                                    "speedup_kernel_over_loop": 2.0}))
+    assert bench.check_against(current, str(baseline), 0.3) == 0
+    current["sim"] = dict(sim, golden_mismatches=["fig6_pvfs_w4_s4"])
+    assert bench.check_against(current, str(baseline), 0.3) == 1
 
 
 def main(argv=None):

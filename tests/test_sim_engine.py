@@ -379,6 +379,119 @@ def test_run_until_complete_finishes_targets():
     assert sim.now == 2.0
 
 
+def test_run_until_complete_targets_finishing_in_reverse_order():
+    sim = Simulator()
+
+    def proc(sim, d):
+        yield Timeout(sim, d)
+
+    # Listed in the reverse of their finishing order, plus a target
+    # listed twice and one already done before the call.
+    done_early = sim.process(proc(sim, 0.5))
+    sim.run_until_complete(done_early)
+    targets = [sim.process(proc(sim, d)) for d in (4.0, 3.0, 2.0, 1.0)]
+    sim.process(proc(sim, 50.0))  # background, not waited on
+    sim.run_until_complete(targets[0], *targets, done_early)
+    assert all(p.triggered for p in targets)
+    assert sim.now == 4.5
+    # Stopped at the last target: the background process is pending.
+    assert sim.peek() == 50.5
+
+
+def test_run_until_complete_stops_at_last_target_when_first_listed_is_first():
+    sim = Simulator()
+
+    def proc(sim, d):
+        yield Timeout(sim, d)
+
+    fast, slow = sim.process(proc(sim, 1.0)), sim.process(proc(sim, 3.0))
+    sim.process(proc(sim, 50.0))
+    sim.run_until_complete(fast, slow)
+    assert slow.triggered and sim.now == 3.0
+
+
+def test_run_until_complete_deadlock_reports_exact_pending_count():
+    sim = Simulator()
+
+    def stuck(sim):
+        yield sim.event()  # never triggered
+
+    def quick(sim):
+        yield Timeout(sim, 1.0)
+
+    # Finished targets sit both before and after the first stuck one.
+    targets = [sim.process(quick(sim)), sim.process(stuck(sim)),
+               sim.process(quick(sim)), sim.process(stuck(sim)),
+               sim.process(quick(sim)), sim.process(stuck(sim))]
+    with pytest.raises(SimulationError,
+                       match=r"^deadlock: 3 process\(es\) never completed$"):
+        sim.run_until_complete(*targets)
+    assert sim.now == 1.0
+
+
+def test_run_until_complete_dispatches_through_step(monkeypatch):
+    """A wrapped ``Simulator.step`` (the benchmark's event counter)
+    sees every event ``run_until_complete`` processes."""
+    calls = []
+    orig = Simulator.step
+
+    def counting_step(sim):
+        calls.append(sim.now)
+        return orig(sim)
+
+    monkeypatch.setattr(Simulator, "step", counting_step)
+    sim = Simulator()
+
+    def proc(sim):
+        for _ in range(5):
+            yield Timeout(sim, 1.0)
+
+    p = sim.process(proc(sim))
+    sim.run_until_complete(p)
+    assert len(calls) == sim.check.events_fired == 7  # boot, 5 timeouts, exit
+
+
+def test_time_weighted_monitor_matches_reference_integration():
+    """``set``/``add`` integrate inline; the result must equal a plain
+    left-to-right integration of the same level trace bit for bit."""
+    import random
+
+    from repro.sim import TimeWeightedMonitor
+
+    for seed in range(20):
+        rng = random.Random(seed)
+        sim = Simulator(start=rng.uniform(0.0, 5.0))
+        initial = float(rng.choice([0, 1, 2.5]))
+        mon = TimeWeightedMonitor(sim, initial=initial)
+        start = last_t = sim.now
+        level = peak = initial
+        area = 0.0
+        for _ in range(rng.randrange(1, 200)):
+            # Repeated times (dt = 0) and repeated values included.
+            if rng.random() < 0.7:
+                sim.run(until=sim.now + rng.choice(
+                    [0.0, rng.random(), rng.expovariate(3.0), 1e-9]))
+            now = sim.now
+            if rng.random() < 0.5:
+                value = float(rng.choice([0, 1, 2, 3, level, -1.5]))
+                mon.set(value)
+            else:
+                delta = rng.choice([1, -1, 0, 0.25])
+                mon.add(delta)
+                value = float(level + delta)
+            area += level * (now - last_t)
+            last_t = now
+            level = value
+            peak = max(peak, level)
+        assert mon.level == level
+        assert mon.maximum == peak
+        sim.run(until=sim.now + rng.random())
+        area += level * (sim.now - last_t)
+        elapsed = sim.now - start
+        want = area / elapsed if elapsed > 0 else level
+        assert mon.time_average == want, seed
+
+
 def test_peek_returns_next_event_time():
     sim = Simulator()
 

@@ -56,6 +56,13 @@ building packs from FASTA, a full rebuild-from-FASTA restart, and the
 mmap cold start that replaces it.  Cold start must come in under 25%
 of the rebuild (``DISKPACK_COLD_CEILING``) or the run fails — the
 format's entire justification is killing that startup cost.
+Every run also times the discrete-event simulator (the ``sim``
+section): the four configurations pinned in
+``benchmarks/results/determinism_golden.json`` over at least
+``SIM_ROUNDS_MIN`` (7) rounds, reporting events per second and wall
+time per experiment as median and interquartile range.  Each answer is
+checked against its golden entry (a mismatch fails the run); the speed
+itself has no floor and is not compared against the baseline.
 ``--out`` appends a compact record of every run to the JSON's
 ``history`` list (carried forward from the existing file, deduplicated
 per git commit), with the machine's core count and CPU model alongside
@@ -69,6 +76,7 @@ import dataclasses
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 
@@ -560,6 +568,76 @@ def parallel_gate(result: dict) -> list:
     return failures
 
 
+#: The simulator section always takes at least this many rounds: its
+#: median and IQR are read against runs on other commits.
+SIM_ROUNDS_MIN = 7
+SIM_GOLDEN_PATH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks", "results", "determinism_golden.json")
+
+
+def _median_iqr(samples) -> dict:
+    q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median": statistics.median(samples), "iqr": q3 - q1}
+
+
+def sim_configs() -> dict:
+    """The determinism test's pinned points, at its 1/100 scale."""
+    from repro.core.experiment import ExperimentConfig, Placement, Variant
+
+    return {name: cfg.scaled(1 / 100) for name, cfg in {
+        "fig6_pvfs_w4_s4": ExperimentConfig(
+            variant=Variant.PVFS, n_workers=4, n_servers=4),
+        "fig6_pvfs_w2_s8": ExperimentConfig(
+            variant=Variant.PVFS, n_workers=2, n_servers=8),
+        "fig7_pvfs_w3_s8_dedicated": ExperimentConfig(
+            variant=Variant.PVFS, n_workers=3, n_servers=8,
+            placement=Placement.DEDICATED),
+        "fig7_ceft_w3_s8_dedicated": ExperimentConfig(
+            variant=Variant.CEFT_PVFS, n_workers=3, n_servers=8,
+            placement=Placement.DEDICATED),
+    }.items()}
+
+
+def measure_sim(rounds: int) -> dict:
+    """Simulator kernel speed over the golden configurations: per round,
+    events fired / wall seconds and the mean wall time per experiment."""
+    from repro.core.experiment import run_experiment
+    from repro.sim.fuzz import job_fingerprint
+
+    with open(SIM_GOLDEN_PATH) as f:
+        goldens = json.load(f)
+    configs = sim_configs()
+    rounds = max(SIM_ROUNDS_MIN, rounds)
+    events_per_s, experiment_s = [], []
+    mismatches = []
+    for _ in range(rounds):
+        events, wall = 0, 0.0
+        for name, cfg in configs.items():
+            t0 = time.perf_counter()
+            res = run_experiment(cfg)
+            wall += time.perf_counter() - t0
+            events += res.events_fired
+            got = {"execution_time": res.execution_time,
+                   "fingerprint": job_fingerprint(res.job)}
+            if got != goldens[name] and name not in mismatches:
+                mismatches.append(name)
+        events_per_s.append(events / wall)
+        experiment_s.append(wall / len(configs))
+    return {"configs": sorted(configs), "rounds": rounds,
+            "events_per_round": events,
+            "events_per_s": _median_iqr(events_per_s),
+            "experiment_s": _median_iqr(experiment_s),
+            "golden_mismatches": mismatches}
+
+
+def sim_gate(result: dict) -> list:
+    """Answers only: the simulator's speed has no floor."""
+    sim = result.get("sim") or {}
+    return [f"sim: {name} differs from its determinism golden entry"
+            for name in sim.get("golden_mismatches", [])]
+
+
 def run_benchmarks(residues: int, rounds: int,
                    jobs: int = 0) -> dict:
     from repro.blast.alphabet import encode_dna
@@ -621,6 +699,7 @@ def run_benchmarks(residues: int, rounds: int,
     gapped = measure_gapped(rounds)
     multinode = measure_multinode(db, query, scheme, params, rounds,
                                   warm_s, _dump_results(r_scan))
+    sim = measure_sim(rounds)
 
     parallel = None
     parallel_sweep = None
@@ -659,6 +738,7 @@ def run_benchmarks(residues: int, rounds: int,
         "multi_query": multi_query,
         "gapped": gapped,
         "multinode": multinode,
+        "sim": sim,
         "parallel": parallel,
         "parallel_sweep": parallel_sweep,
         "equivalent": equivalent,
@@ -702,6 +782,10 @@ def _history_entry(result: dict) -> dict:
                 entry["multinode_speedup_2"] = pt2["speedup_over_serial"]
             entry["multinode_reship_bytes"] = \
                 (mn.get("warm_reconnect") or {}).get("reship_bytes")
+    sim = result.get("sim")
+    if sim:
+        entry["sim_events_per_s"] = sim["events_per_s"]["median"]
+        entry["sim_experiment_s"] = sim["experiment_s"]["median"]
     return entry
 
 
@@ -819,9 +903,16 @@ def check_against(current: dict, baseline_path: str, tolerance: float) -> int:
         warm = cur_mn.get("warm_reconnect") or {}
         print(f"multinode warm reconnect: {warm.get('reship_bytes')} B "
               f"re-shipped, {warm.get('adopted_bytes_saved')} B adopted")
+    cur_sim = current.get("sim")
+    if cur_sim:
+        eps, exp_s = cur_sim["events_per_s"], cur_sim["experiment_s"]
+        print(f"sim ({cur_sim['rounds']} rounds, informational): "
+              f"{eps['median']:,.0f} events/s (IQR {eps['iqr']:,.0f}), "
+              f"{exp_s['median']*1e3:.1f} ms per experiment "
+              f"(IQR {exp_s['iqr']*1e3:.1f})")
     for msg in (parallel_gate(current) + diskpack_gate(current)
                 + multi_query_gate(current) + gapped_gate(current)
-                + multinode_gate(current)):
+                + multinode_gate(current) + sim_gate(current)):
         print(f"FAIL: {msg}")
         ok = False
     if ok:
@@ -863,7 +954,7 @@ def main(argv=None) -> int:
         return 1
     failures = (parallel_gate(result) + diskpack_gate(result)
                 + multi_query_gate(result) + gapped_gate(result)
-                + multinode_gate(result))
+                + multinode_gate(result) + sim_gate(result))
     for msg in failures:
         print(f"FAIL: {msg}")
     return 1 if failures else 0
